@@ -59,25 +59,14 @@ type Result = core.Result
 // SweepPoint pairs a TIDS value with its evaluation.
 type SweepPoint = core.SweepPoint
 
-// SweepOpts selects how grid sweeps evaluate their points (warm-start
-// chaining of neighbouring solves vs cold batch fan-out).
-//
-// Deprecated: pass functional options (WithWarmStart, WithIncremental,
-// WithContext) to SweepTIDS/ExploreDesignSpace/TradeoffFrontier instead.
-type SweepOpts = core.SweepOpts
-
 // SweepOption configures how a grid driver (SweepTIDS, ExploreDesignSpace,
 // TradeoffFrontier) evaluates its points; the zero set is the engine's
 // bounded parallel batch.
 type SweepOption = core.SweepOption
 
-// WithWarmStart chains neighbouring grid points through one solver session,
-// seeding each transient solve from the previous point's sojourn vector.
-func WithWarmStart() SweepOption { return core.WithWarmStart() }
-
 // WithIncremental routes neighbouring grid points through the incremental
 // patch+re-solve path (rate-only generator patches on a shared
-// factorization); implies WithWarmStart's sequential chaining.
+// factorization), one sequential session per structural family.
 func WithIncremental() SweepOption { return core.WithIncremental() }
 
 // WithContext makes the driver honor ctx: evaluation stops with ctx.Err()
@@ -139,7 +128,6 @@ const (
 	SolverAuto        = ctmc.BackendAuto
 	SolverSORCascade  = ctmc.BackendSORCascade
 	SolverILUBiCGSTAB = ctmc.BackendILUBiCGSTAB
-	SolverGMRES       = ctmc.BackendGMRES
 )
 
 // SolverBackends returns the sorted names of every registered linear-solver
@@ -263,23 +251,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	return service.NewClientOpts(baseURL, opts...)
 }
 
-// NewClientHTTP is NewClient with an explicit http.Client.
-//
-// Deprecated: use NewClient with WithHTTPClient.
-func NewClientHTTP(baseURL string, hc *http.Client) *Client {
-	return service.NewClient(baseURL, hc)
-}
-
-// NewResilientClient is NewClientHTTP with a retry/breaker policy: the
-// client absorbs transient server failures (429/5xx/transport resets)
-// transparently and fails fast with ErrCircuitOpen while the server is
-// persistently down. Pass a nil http.Client for the default transport.
-//
-// Deprecated: use NewClient with WithHTTPClient and WithRetryPolicy.
-func NewResilientClient(baseURL string, hc *http.Client, policy RetryPolicy) *Client {
-	return service.NewResilientClient(baseURL, hc, policy)
-}
-
 // FrontierRequest parameterizes a remote adaptive-frontier stream
 // (Client.Frontier / POST /v1/frontier).
 type FrontierRequest = service.FrontierRequest
@@ -296,18 +267,11 @@ var PaperMGrid = core.PaperMGrid
 
 // SweepTIDS evaluates the model across a grid of detection intervals.
 // Options select the evaluation strategy: the default is the engine's
-// bounded parallel batch; WithWarmStart/WithIncremental chain the grid
-// through one solver session, and WithContext makes the sweep cancelable
+// bounded parallel batch; WithIncremental walks the grid through one
+// incremental sweep session, and WithContext makes the sweep cancelable
 // between points.
 func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, error) {
 	return core.SweepTIDS(cfg, grid, opts...)
-}
-
-// SweepTIDSOpts is SweepTIDS with the legacy options struct.
-//
-// Deprecated: use SweepTIDS with WithWarmStart/WithIncremental/WithContext.
-func SweepTIDSOpts(cfg Config, grid []float64, opts SweepOpts) ([]SweepPoint, error) {
-	return core.SweepTIDSOpts(cfg, grid, opts)
 }
 
 // OptimalTIDSForMTTSF finds the grid point maximizing MTTSF.
@@ -365,19 +329,10 @@ func TradeoffFrontier(cfg Config, space DesignSpace, opts ...SweepOption) ([]Des
 
 // ExploreDesignSpace evaluates every point of the design space (sorted by
 // ascending Ĉtotal), without the frontier filter. It accepts the same
-// options as SweepTIDS; WithWarmStart/WithIncremental run one solve chain
-// per (m, detection) pair along the TIDS axis.
+// options as SweepTIDS; WithIncremental walks the grid through one
+// incremental sweep session.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
 	return core.ExploreDesignSpace(cfg, space, opts...)
-}
-
-// ExploreDesignSpaceOpts is ExploreDesignSpace with the legacy options
-// struct.
-//
-// Deprecated: use ExploreDesignSpace with WithWarmStart/WithIncremental/
-// WithContext.
-func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, opts SweepOpts) ([]DesignPoint, error) {
-	return core.ExploreDesignSpaceOpts(cfg, space, opts)
 }
 
 // ParetoFrontier filters points down to the non-dominated set (maximize
@@ -594,24 +549,6 @@ func ApplyDynamicsChecked(cfg Config, gd *GroupDynamics) (Config, error) {
 	cfg.MeanHops = gd.MeanHops
 	cfg.MeanDegree = gd.MeanDegree
 	return cfg, nil
-}
-
-// ApplyDynamics patches the calibrated group dynamics into a configuration,
-// keeping the configuration's MeanHops/MeanDegree when the calibrated
-// values are out of the model's range.
-//
-// Deprecated: use ApplyDynamicsChecked, which reports out-of-range
-// calibration instead of silently half-applying it.
-func ApplyDynamics(cfg Config, gd *GroupDynamics) Config {
-	cfg.PartitionRate = gd.PartitionRate
-	cfg.MergeRate = gd.MergeRate
-	if gd.MeanHops >= 1 {
-		cfg.MeanHops = gd.MeanHops
-	}
-	if gd.MeanDegree > 0 {
-		cfg.MeanDegree = gd.MeanDegree
-	}
-	return cfg
 }
 
 // --- Figure regeneration ---

@@ -115,12 +115,15 @@ func TestPublicCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ApplyDynamics(apiConfig(), gd)
-	if cfg.PartitionRate != gd.PartitionRate || cfg.MergeRate != gd.MergeRate {
-		t.Error("ApplyDynamics did not patch rates")
+	cfg, err := ApplyDynamicsChecked(apiConfig(), gd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gd.MeanHops >= 1 && cfg.MeanHops != gd.MeanHops {
-		t.Error("ApplyDynamics did not patch hops")
+	if cfg.PartitionRate != gd.PartitionRate || cfg.MergeRate != gd.MergeRate {
+		t.Error("ApplyDynamicsChecked did not patch rates")
+	}
+	if cfg.MeanHops != gd.MeanHops {
+		t.Error("ApplyDynamicsChecked did not patch hops")
 	}
 	if _, err := Analyze(cfg); err != nil {
 		t.Fatalf("calibrated config not analyzable: %v", err)
@@ -242,28 +245,14 @@ func TestPublicSweepOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SweepTIDS(apiConfig(), grid, WithWarmStart())
-	if err != nil {
-		t.Fatal(err)
-	}
 	inc, err := SweepTIDS(apiConfig(), grid, WithIncremental(), WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain {
-		for _, got := range [][]SweepPoint{warm, inc} {
-			if rel := math.Abs(got[i].Result.MTTSF-plain[i].Result.MTTSF) / plain[i].Result.MTTSF; rel > 1e-9 {
-				t.Errorf("point %d: optioned sweep diverges by %v", i, rel)
-			}
+		if rel := math.Abs(inc[i].Result.MTTSF-plain[i].Result.MTTSF) / plain[i].Result.MTTSF; rel > 1e-9 {
+			t.Errorf("point %d: optioned sweep diverges by %v", i, rel)
 		}
-	}
-	// The deprecated struct form still works and agrees.
-	legacy, err := SweepTIDSOpts(apiConfig(), grid, SweepOpts{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(plain) {
-		t.Fatalf("legacy sweep returned %d points", len(legacy))
 	}
 	// A canceled context stops the sweep at the next point boundary.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -348,11 +337,5 @@ func TestPublicClientOptions(t *testing.T) {
 	hc := &http.Client{Timeout: time.Second}
 	if c := NewClient("http://127.0.0.1:1", WithHTTPClient(hc), WithRetryPolicy(RetryPolicy{MaxAttempts: 2})); c == nil {
 		t.Fatal("NewClient returned nil")
-	}
-	if c := NewClientHTTP("http://127.0.0.1:1", hc); c == nil {
-		t.Fatal("NewClientHTTP returned nil")
-	}
-	if c := NewResilientClient("http://127.0.0.1:1", nil, RetryPolicy{}); c == nil {
-		t.Fatal("NewResilientClient returned nil")
 	}
 }

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	bench [-preset small|full] [-rev name] [-o file] [-baseline file]
-//	      [-par n] [-gate factor] [-allow workload,...] [-trajectory]
+//	      [-gate factor] [-allow workload,...] [-trajectory]
 //
 // The small preset (N = 30, 60) finishes in well under a minute and is what
 // CI runs; the full preset adds the paper's N = 100. With -baseline the
@@ -99,25 +99,14 @@ type Result struct {
 	GridPoints int `json:"grid_points,omitempty"`
 }
 
-// FingerprintCheck records a parallel-vs-sequential exploration identity
-// check: the graph fingerprint at worker count P must equal the sequential
-// one for the parallel explorer to be trusted.
-type FingerprintCheck struct {
-	N           int    `json:"n"`
-	Parallelism int    `json:"parallelism"`
-	Fingerprint string `json:"fingerprint"`
-	Equal       bool   `json:"equal_sequential"`
-}
-
 // File is the BENCH_<rev>.json document.
 type File struct {
-	Revision     string             `json:"revision"`
-	Date         string             `json:"date"`
-	GoVersion    string             `json:"go_version"`
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	Preset       string             `json:"preset"`
-	Workloads    []Result           `json:"workloads"`
-	Fingerprints []FingerprintCheck `json:"explore_fingerprints,omitempty"`
+	Revision   string   `json:"revision"`
+	Date       string   `json:"date"`
+	GoVersion  string   `json:"go_version"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Preset     string   `json:"preset"`
+	Workloads  []Result `json:"workloads"`
 }
 
 // gitRev returns the working tree's short revision, or "dev" outside a git
@@ -138,7 +127,6 @@ func main() {
 	rev := flag.String("rev", "", "revision label used in the default output name (default: git short rev)")
 	out := flag.String("o", "", "output path (default BENCH_<rev>.json)")
 	baseline := flag.String("baseline", "", "optional earlier BENCH_*.json to print speedups against")
-	par := flag.Int("par", runtime.GOMAXPROCS(0), "exploration worker shards for the parallel workloads")
 	gate := flag.Float64("gate", 0, "fail when a workload is slower than baseline by more than this factor (0 disables)")
 	allow := flag.String("allow", "", "comma-separated workload names exempt from the -gate check")
 	trajectory := flag.Bool("trajectory", false, "aggregate all committed BENCH_*.json into one speedup-over-baseline table and exit")
@@ -183,8 +171,7 @@ func main() {
 		Preset:     *preset,
 	}
 	for _, n := range ns {
-		f.Workloads = append(f.Workloads, kernelWorkloads(n, *par)...)
-		f.Fingerprints = append(f.Fingerprints, fingerprintChecks(n, *par)...)
+		f.Workloads = append(f.Workloads, kernelWorkloads(n)...)
 	}
 	sweepN := ns[len(ns)-1]
 	f.Workloads = append(f.Workloads, sweepWorkloads(sweepN)...)
@@ -212,15 +199,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d workloads)\n", path, len(f.Workloads))
 
-	// Fail after writing, so a mismatch leaves its evidence (the per-P
-	// fingerprint records) in the JSON.
-	for _, fp := range f.Fingerprints {
-		if !fp.Equal {
-			fmt.Fprintf(os.Stderr, "bench: parallel exploration at N=%d P=%d is NOT bit-identical to sequential\n", fp.N, fp.Parallelism)
-			os.Exit(1)
-		}
-	}
-
 	if *baseline != "" {
 		regressed, err := printComparison(*baseline, f, *gate, allowSet(*allow))
 		if err != nil {
@@ -245,42 +223,6 @@ func allowSet(s string) map[string]bool {
 	return set
 }
 
-// fingerprintChecks explores the size-n model sequentially and at P in
-// {2,4,8} plus the -par worker count the timing workloads actually run
-// at, recording whether each parallel graph is bit-identical. (P=1 takes
-// the sequential path, so checking it would prove nothing.)
-func fingerprintChecks(n, par int) []FingerprintCheck {
-	explore := func(p int) *spn.Graph {
-		cfg := core.DefaultConfig()
-		cfg.N = n
-		cfg.Parallelism = p
-		m, err := core.BuildModel(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := m.Explore()
-		if err != nil {
-			fatal(err)
-		}
-		return g
-	}
-	seq := explore(0).Fingerprint()
-	ps := []int{2, 4, 8}
-	if par > 1 && par != 2 && par != 4 && par != 8 {
-		ps = append(ps, par)
-	}
-	var out []FingerprintCheck
-	for _, p := range ps {
-		fp := explore(p).Fingerprint()
-		out = append(out, FingerprintCheck{
-			N: n, Parallelism: p,
-			Fingerprint: fmt.Sprintf("%016x", fp),
-			Equal:       fp == seq,
-		})
-	}
-	return out
-}
-
 // mustPrepare builds the model and reachability graph for size n.
 func mustPrepare(n int) (*core.Model, *spn.Graph) {
 	cfg := core.DefaultConfig()
@@ -297,38 +239,32 @@ func mustPrepare(n int) (*core.Model, *spn.Graph) {
 }
 
 // kernelWorkloads measures the building blocks of one evaluation at size n:
-// cold exploration across the TIDS grid (parallel and sequential),
-// generator assembly, generator transposition, and the transient solve.
-func kernelWorkloads(n, par int) []Result {
+// cold exploration across the TIDS grid, generator assembly, generator
+// transposition, and the transient solve.
+func kernelWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
 	_, g := mustPrepare(n)
 	chain := ctmc.FromGraph(g)
 
-	// explore_sweep: a cold-cache reachability sweep over the paper's TIDS
+	// explore_seq: a cold-cache reachability sweep over the paper's TIDS
 	// grid — state-space generation is all it does, so it is the
-	// Explore-dominated workload the perf trajectory tracks. Since PR 3 it
-	// runs the sharded-frontier explorer at -par workers (the production
-	// setting for cold sweeps); explore_seq keeps the sequential number
-	// comparable across revisions.
+	// Explore-dominated workload the perf trajectory tracks.
 	states := 0
-	exploreGrid := func(parallelism int) func() {
-		return func() {
-			states = 0
-			for _, tids := range core.PaperTIDSGrid {
-				c := cfg
-				c.TIDS = tids
-				c.Parallelism = parallelism
-				m, err := core.BuildModel(c)
-				if err != nil {
-					fatal(err)
-				}
-				gg, err := m.Explore()
-				if err != nil {
-					fatal(err)
-				}
-				states += gg.NumStates()
+	exploreGrid := func() {
+		states = 0
+		for _, tids := range core.PaperTIDSGrid {
+			c := cfg
+			c.TIDS = tids
+			m, err := core.BuildModel(c)
+			if err != nil {
+				fatal(err)
 			}
+			gg, err := m.Explore()
+			if err != nil {
+				fatal(err)
+			}
+			states += gg.NumStates()
 		}
 	}
 	throughput := func(r Result) Result {
@@ -338,8 +274,7 @@ func kernelWorkloads(n, par int) []Result {
 		}
 		return r
 	}
-	rExplore := throughput(measure("explore_sweep", n, exploreGrid(par)))
-	rExploreSeq := throughput(measure("explore_seq", n, exploreGrid(0)))
+	rExploreSeq := throughput(measure("explore_seq", n, exploreGrid))
 
 	rAssemble := measure("assemble_generator", n, func() { ctmc.FromGraph(g) })
 	rAssemble.States = g.NumStates()
@@ -356,7 +291,7 @@ func kernelWorkloads(n, par int) []Result {
 		}
 	})
 	rSolve.States = g.NumStates()
-	return []Result{rExplore, rExploreSeq, rAssemble, rTranspose, rSolve}
+	return []Result{rExploreSeq, rAssemble, rTranspose, rSolve}
 }
 
 // measureSolves wraps measure and annotates the result with per-op solve
@@ -450,7 +385,6 @@ func largeNWorkloads(side int) []Result {
 	for _, spec := range []struct{ short, backend string }{
 		{"sor", ctmc.BackendSORCascade},
 		{"ilu", ctmc.BackendILUBiCGSTAB},
-		{"gmres", ctmc.BackendGMRES},
 		{"auto", ctmc.BackendAuto},
 	} {
 		backend, err := ctmc.SolverBackendByName(spec.backend)
@@ -496,10 +430,8 @@ func backendMatrixWorkloads(n int) []Result {
 
 // sweepWorkloads measures the full evaluation pipeline over the paper's
 // TIDS grid at size n: through the memoization-free Direct path (every
-// point pays the complete cold miss), through the same path with
-// warm-start chaining (sweep_warm — compare its solve_iters_per_op against
-// sweep_cold's for the warm-start reduction), and through a fresh
-// memoizing engine per op.
+// point pays the complete cold miss), and through a fresh memoizing engine
+// per op.
 func sweepWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -507,11 +439,6 @@ func sweepWorkloads(n int) []Result {
 	prev := core.SetDefaultEvaluator(core.Direct{})
 	rCold := measureSolves("sweep_cold", n, func() {
 		if _, err := core.SweepTIDS(cfg, core.PaperTIDSGrid); err != nil {
-			fatal(err)
-		}
-	})
-	rWarm := measureSolves("sweep_warm", n, func() {
-		if _, err := core.SweepTIDSOpts(cfg, core.PaperTIDSGrid, core.SweepOpts{WarmStart: true}); err != nil {
 			fatal(err)
 		}
 	})
@@ -526,7 +453,7 @@ func sweepWorkloads(n int) []Result {
 		}
 		core.SetDefaultEvaluator(prev)
 	})
-	return []Result{rCold, rWarm, rEngine}
+	return []Result{rCold, rEngine}
 }
 
 // denseTIDSGrid returns points log-spaced detection intervals across
@@ -543,18 +470,16 @@ func denseTIDSGrid(points int, lo, hi float64) []float64 {
 }
 
 // incrementalWorkloads measures a dense 64-point rate-only TIDS sweep at
-// size n through the two sequential evaluation paths: warm-start chaining
-// (sweep_warm_dense — every point still pays explore + assemble +
-// transpose + factorize) and the incremental patch+re-solve path
-// (sweep_incremental — the first point pays a full prepare, every later
-// point re-rates the shared graph, patches the cached generator pattern in
-// place, and re-solves: exactly, through the reused SCC-condensed
-// block-triangular factorization, or under the frozen ILU(0)
-// preconditioner when the pattern is too cyclic for it). Both run
-// memoization-free, so the speedup is per-point algorithmic cost, not
-// caching. Before timing, the two paths are checked point-for-point to
-// 1e-10 relative — the incremental numbers mean nothing unless the results
-// are identical.
+// size n through the incremental patch+re-solve path (sweep_incremental —
+// the first point pays a full prepare, every later point re-rates the
+// shared graph, patches the cached generator pattern in place, and
+// re-solves: exactly, through the reused SCC-condensed block-triangular
+// factorization, or under the frozen ILU(0) preconditioner when the
+// pattern is too cyclic for it). It runs memoization-free, so its
+// per-point cost against sweep_cold's is algorithmic, not caching. Before
+// timing, the incremental sweep is checked point-for-point against the
+// cold sweep to 1e-10 relative — the incremental numbers mean nothing
+// unless the results are identical.
 func incrementalWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -563,33 +488,27 @@ func incrementalWorkloads(n int) []Result {
 	prev := core.SetDefaultEvaluator(core.Direct{})
 	defer core.SetDefaultEvaluator(prev)
 
-	warmPts, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true})
+	coldPts, err := core.SweepTIDS(cfg, grid)
 	if err != nil {
 		fatal(err)
 	}
-	incPts, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true})
+	incPts, err := core.SweepTIDS(cfg, grid, core.WithIncremental())
 	if err != nil {
 		fatal(err)
 	}
-	for i := range warmPts {
-		w, c := warmPts[i].Result, incPts[i].Result
+	for i := range coldPts {
+		w, c := coldPts[i].Result, incPts[i].Result
 		if relDiff(w.MTTSF, c.MTTSF) > 1e-10 || relDiff(w.Ctotal, c.Ctotal) > 1e-10 {
-			fatal(fmt.Errorf("sweep_incremental: TIDS=%v diverges from warm path: MTTSF %v vs %v, Ctotal %v vs %v",
+			fatal(fmt.Errorf("sweep_incremental: TIDS=%v diverges from the cold path: MTTSF %v vs %v, Ctotal %v vs %v",
 				grid[i], w.MTTSF, c.MTTSF, w.Ctotal, c.Ctotal))
 		}
 	}
-
-	rWarm := measureSolves("sweep_warm_dense", n, func() {
-		if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true}); err != nil {
-			fatal(err)
-		}
-	})
 
 	p0, rf0 := ctmc.PatchedSolves(), ctmc.Refactorizations()
 	ops := 0
 	rInc := measureSolves("sweep_incremental", n, func() {
 		ops++
-		if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true}); err != nil {
+		if _, err := core.SweepTIDS(cfg, grid, core.WithIncremental()); err != nil {
 			fatal(err)
 		}
 	})
@@ -599,7 +518,7 @@ func incrementalWorkloads(n int) []Result {
 	}
 	fmt.Printf("%-20s %d-point grid: %d patched solves/op, %d refactorizations/op\n",
 		"sweep_incremental", len(grid), rInc.PatchedSolvesPerOp, rInc.RefactorizationsPerOp)
-	return []Result{rWarm, rInc}
+	return []Result{rInc}
 }
 
 // relDiff is the relative difference of two positive metrics.

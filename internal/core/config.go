@@ -91,23 +91,13 @@ type Config struct {
 	ExplicitEviction bool
 	// MaxStates bounds reachability exploration (default 2,000,000).
 	MaxStates int
-	// Parallelism sets the number of sharded-frontier worker goroutines
-	// used for reachability exploration (0 or 1 = sequential). It is an
-	// execution policy, not a model parameter: the reachability graph —
-	// and therefore every metric — is byte-identical for every value, so
-	// the evaluation engine excludes it from Config fingerprints and
-	// configurations differing only here share cache entries. Model
-	// exploration builds one model replica per extra worker so the rate
-	// memos stay unsynchronized on the hot path.
-	Parallelism int
 	// Solver selects the linear-solver backend the transient sojourn
 	// solves run through: "" or "auto" picks by problem size (the SOR
 	// cascade only for tiny systems below a few hundred transient states,
 	// ILU(0)-preconditioned BiCGSTAB everywhere above — the measured
 	// crossover; see ctmc's autoKrylovStates), or name a registered
-	// backend explicitly ("sor-cascade", "ilu-bicgstab", "gmres"; see
-	// ctmc.SolverBackendNames). Like Parallelism it is an execution
-	// policy, not a model parameter: every backend converges to the same
+	// backend explicitly ("sor-cascade", "ilu-bicgstab"; see
+	// ctmc.SolverBackendNames). It is an execution policy, not a model parameter: every backend converges to the same
 	// 1e-12 relative residual, so the evaluation engine excludes it from
 	// Config fingerprints and configurations differing only here share
 	// cache entries — including prepared models, which keep the backend
@@ -181,8 +171,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MeanHops = %v, need >= 1", c.MeanHops)
 	case c.ShapeP <= 1:
 		return fmt.Errorf("core: ShapeP = %v, need > 1", c.ShapeP)
-	case c.Parallelism < 0:
-		return fmt.Errorf("core: Parallelism = %d, need >= 0", c.Parallelism)
 	}
 	if c.Solver != "" {
 		if _, err := ctmc.SolverBackendByName(c.Solver); err != nil {

@@ -38,8 +38,8 @@ type DeltaKind int
 
 const (
 	// DeltaNone means the configurations are evaluation-equivalent (they
-	// differ at most in execution policy: Parallelism, Solver, or the
-	// spelling of defaults).
+	// differ at most in the Solver execution policy or in the spelling of
+	// defaults).
 	DeltaNone DeltaKind = iota
 	// DeltaRateOnly means the reachability graph is identical and only
 	// generator values (and cost rewards) change — the patch+re-solve
@@ -107,11 +107,10 @@ func ClassifyDelta(a, b Config) DeltaKind {
 }
 
 // normalizeForDelta strips the axes that never affect evaluation results:
-// execution policy (Parallelism, Solver), the default-vs-explicit spelling
-// of MaxStates, and the Cost pointer (cost equivalence is compared through
+// execution policy (Solver), the default-vs-explicit spelling of
+// MaxStates, and the Cost pointer (cost equivalence is compared through
 // EffectiveCost by the caller).
 func normalizeForDelta(cfg Config) Config {
-	cfg.Parallelism = 0
 	cfg.Solver = ""
 	cfg.MaxStates = cfg.EffectiveMaxStates()
 	cfg.Cost = nil

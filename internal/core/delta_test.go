@@ -4,17 +4,15 @@ import (
 	"testing"
 )
 
-// TestClassifyDeltaNone pins the execution-policy axes: diffs in
-// Parallelism, Solver, or the default-vs-explicit spelling of MaxStates are
-// evaluation-equivalent.
+// TestClassifyDeltaNone pins the execution-policy axes: diffs in Solver or
+// the default-vs-explicit spelling of MaxStates are evaluation-equivalent.
 func TestClassifyDeltaNone(t *testing.T) {
 	a := DefaultConfig()
 	if got := ClassifyDelta(a, a); got != DeltaNone {
 		t.Fatalf("identical configs classify as %v", got)
 	}
 	b := a
-	b.Parallelism = 8
-	b.Solver = "gmres"
+	b.Solver = "ilu-bicgstab"
 	if got := ClassifyDelta(a, b); got != DeltaNone {
 		t.Fatalf("execution-policy diff classifies as %v", got)
 	}

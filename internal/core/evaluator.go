@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -23,23 +24,25 @@ type Evaluator interface {
 	EvalBatch(cfgs []Config) ([]*Result, error)
 }
 
-// PreparedEvaluator is the optional extension warm-start sweeps need: an
+// PreparedEvaluator is the optional extension incremental sweeps need: an
 // Evaluator that can hand out the fully built (and possibly cached)
-// evaluation state for a configuration, so the sweep driver can thread the
-// previous grid point's solution into the next solve. Both Direct and the
-// memoizing engine implement it.
+// evaluation state for a configuration and record a Result computed from a
+// caller-supplied one, so a SweepSession can patch the previous grid
+// point's model into the next. Both Direct and the memoizing engine
+// implement it.
 type PreparedEvaluator interface {
 	Evaluator
 	// Prepared returns the built model/graph/chain for cfg, without
 	// forcing the solve.
 	Prepared(cfg Config) (*Prepared, error)
-	// EvalWith evaluates cfg, calling prepare for the built (and
-	// typically warm-solved) evaluation state only when no recorded
+	// EvalWithContext evaluates cfg, calling prepare for the built (and
+	// typically already solved) evaluation state only when no recorded
 	// Result exists: the memoizing engine serves repeats straight from
 	// its result cache — skipping the rebuild and solve entirely — and
-	// records fresh points so later Evals hit. The returned Result is
-	// the caller's own copy.
-	EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error)
+	// records fresh points so later Evals hit. A canceled ctx stops the
+	// caller before a fresh evaluation starts. The returned Result is the
+	// caller's own copy.
+	EvalWithContext(ctx context.Context, cfg Config, prepare func() (*Prepared, error)) (*Result, error)
 }
 
 // defaultEvaluator is the Evaluator used by SweepTIDS, ExploreDesignSpace,
@@ -81,9 +84,12 @@ func (d Direct) Eval(cfg Config) (*Result, error) { return Analyze(cfg) }
 // Prepared implements PreparedEvaluator: a fresh build every call.
 func (d Direct) Prepared(cfg Config) (*Prepared, error) { return Prepare(cfg) }
 
-// EvalWith implements PreparedEvaluator: Direct records nothing, so it
-// always prepares and derives the Result from the (memoized) solve.
-func (d Direct) EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error) {
+// EvalWithContext implements PreparedEvaluator: Direct records nothing,
+// so it always prepares and derives the Result from the (memoized) solve.
+func (d Direct) EvalWithContext(ctx context.Context, cfg Config, prepare func() (*Prepared, error)) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	p, err := prepare()
 	if err != nil {
 		return nil, err
@@ -97,28 +103,6 @@ func (d Direct) EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result
 	return &r, nil
 }
 
-// WorkerBound reports the evaluator's batch-parallelism cap (0 means
-// GOMAXPROCS), so drivers that fan work out themselves — the warm-start
-// design-space chains — can honor the same bound EvalBatch does.
-func (d Direct) WorkerBound() int { return d.Workers }
-
-// workerBounded is implemented by evaluators that cap their batch
-// parallelism; both Direct and the memoizing engine do.
-type workerBounded interface {
-	WorkerBound() int
-}
-
-// evaluatorWorkers returns the worker bound of the installed default
-// evaluator, falling back to GOMAXPROCS.
-func evaluatorWorkers() int {
-	if wb, ok := DefaultEvaluator().(workerBounded); ok {
-		if w := wb.WorkerBound(); w > 0 {
-			return w
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // EvalBatch implements Evaluator.
 func (d Direct) EvalBatch(cfgs []Config) ([]*Result, error) {
 	return RunBatch(cfgs, d.Workers, d.Eval)
@@ -126,8 +110,8 @@ func (d Direct) EvalBatch(cfgs []Config) ([]*Result, error) {
 
 // ForEachIndexed runs fn(i) for every i in [0, n) over at most workers
 // goroutines (0 means GOMAXPROCS) — the one bounded indexed fan-out every
-// batch driver shares (RunBatch, the warm design-space pair chains, the
-// evaluation service's per-point batch dispatch, bench client pools).
+// batch driver shares (RunBatch, the evaluation service's per-point batch
+// dispatch, bench client pools).
 func ForEachIndexed(n, workers int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

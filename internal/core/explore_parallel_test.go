@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/shapes"
@@ -9,8 +10,8 @@ import (
 )
 
 // parallelGrid is the PR 2 parameter grid the sequential-vs-reference
-// isomorphism test runs on (explore_equiv_test.go); the parallel property
-// test reuses it so both exploration paths are pinned over the same models.
+// isomorphism test runs on (explore_equiv_test.go); the concurrency
+// property test reuses it so exploration is pinned over the same models.
 func parallelGrid() []struct {
 	name string
 	cfg  Config
@@ -46,61 +47,77 @@ func parallelGrid() []struct {
 	return grid
 }
 
-// exploreAt builds the model for cfg with the given exploration
-// parallelism and returns its reachability graph.
-func exploreAt(t *testing.T, cfg Config, parallelism int) *spn.Graph {
-	t.Helper()
-	cfg.Parallelism = parallelism
+// exploreConfig builds the model for cfg and returns its reachability graph.
+func exploreConfig(cfg Config) (*spn.Graph, error) {
 	model, err := BuildModel(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	g, err := model.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return model.Explore()
 }
 
-// TestExploreParallelMatchesSequential is the tentpole determinism
-// property: for every model of the PR 2 parameter grid and every worker
-// count P in {1, 2, 4, 8}, the sharded-frontier explorer must yield the
-// SAME state numbering, the same edge arena, and the same graph
-// fingerprint as the sequential explorer — not merely an isomorphic graph.
-// Downstream CSR assembly, absorption classification, and solution vectors
-// are then byte-identical, which is what lets the engine fingerprint treat
-// Parallelism as a pure execution policy.
+// graphsEqual reports the first difference between got and want's state
+// numbering, initial state and edge arena, or "" when they are identical.
+func graphsEqual(want, got *spn.Graph) string {
+	if got.NumStates() != want.NumStates() {
+		return fmt.Sprintf("%d states, sequential %d", got.NumStates(), want.NumStates())
+	}
+	if got.NumEdges() != want.NumEdges() {
+		return fmt.Sprintf("%d edges, sequential %d", got.NumEdges(), want.NumEdges())
+	}
+	if got.Initial != want.Initial {
+		return fmt.Sprintf("initial %d, sequential %d", got.Initial, want.Initial)
+	}
+	for i := range want.States {
+		if want.States[i].Key() != got.States[i].Key() {
+			return fmt.Sprintf("state %d is %s, sequential %s", i, got.States[i].Key(), want.States[i].Key())
+		}
+		if len(want.Edges[i]) != len(got.Edges[i]) {
+			return fmt.Sprintf("state %d has %d edges, sequential %d", i, len(got.Edges[i]), len(want.Edges[i]))
+		}
+		for j, e := range want.Edges[i] {
+			if got.Edges[i][j] != e {
+				return fmt.Sprintf("state %d edge %d is %+v, sequential %+v", i, j, got.Edges[i][j], e)
+			}
+		}
+	}
+	return ""
+}
+
+// TestExploreParallelMatchesSequential pins the determinism the batch
+// worker pool relies on: for every model of the PR 2 parameter grid and
+// every goroutine count P in {1, 2, 4, 8}, P models of the same Config
+// built and explored concurrently (as RunBatch's workers do) must each
+// yield the SAME state numbering and edge arena as one sequential
+// exploration — not merely an isomorphic graph. Model construction and
+// exploration therefore share no mutable state across goroutines, and
+// downstream CSR assembly and solution vectors are identical.
 func TestExploreParallelMatchesSequential(t *testing.T) {
 	for _, v := range parallelGrid() {
 		t.Run(v.name, func(t *testing.T) {
-			seq := exploreAt(t, v.cfg, 0)
-			seqFp := seq.Fingerprint()
+			seq, err := exploreConfig(v.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, p := range []int{1, 2, 4, 8} {
-				got := exploreAt(t, v.cfg, p)
-				if got.NumStates() != seq.NumStates() {
-					t.Fatalf("P=%d: %d states, sequential %d", p, got.NumStates(), seq.NumStates())
+				graphs := make([]*spn.Graph, p)
+				errs := make([]error, p)
+				var wg sync.WaitGroup
+				for w := 0; w < p; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						graphs[w], errs[w] = exploreConfig(v.cfg)
+					}(w)
 				}
-				if got.NumEdges() != seq.NumEdges() {
-					t.Fatalf("P=%d: %d edges, sequential %d", p, got.NumEdges(), seq.NumEdges())
-				}
-				if got.Initial != seq.Initial {
-					t.Fatalf("P=%d: initial %d, sequential %d", p, got.Initial, seq.Initial)
-				}
-				for i := range seq.States {
-					if seq.States[i].Key() != got.States[i].Key() {
-						t.Fatalf("P=%d: state %d is %s, sequential %s", p, i, got.States[i].Key(), seq.States[i].Key())
+				wg.Wait()
+				for w := 0; w < p; w++ {
+					if errs[w] != nil {
+						t.Fatalf("P=%d worker %d: %v", p, w, errs[w])
 					}
-					if len(seq.Edges[i]) != len(got.Edges[i]) {
-						t.Fatalf("P=%d: state %d has %d edges, sequential %d", p, i, len(got.Edges[i]), len(seq.Edges[i]))
+					if diff := graphsEqual(seq, graphs[w]); diff != "" {
+						t.Fatalf("P=%d worker %d: %s", p, w, diff)
 					}
-					for j, e := range seq.Edges[i] {
-						if got.Edges[i][j] != e {
-							t.Fatalf("P=%d: state %d edge %d is %+v, sequential %+v", p, i, j, got.Edges[i][j], e)
-						}
-					}
-				}
-				if fp := got.Fingerprint(); fp != seqFp {
-					t.Fatalf("P=%d: fingerprint %#x, sequential %#x", p, fp, seqFp)
 				}
 			}
 		})
@@ -108,7 +125,7 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelEvaluationEquivalence runs the full metric pipeline through
-// parallel exploration and asserts the Results are identical to the
+// the batch worker pool and asserts the Results are identical to the
 // sequential ones: same graph => same CTMC => same single solve.
 func TestParallelEvaluationEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
@@ -117,15 +134,17 @@ func TestParallelEvaluationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 4
-	parRes, err := Analyze(cfg)
+	cfgs := []Config{cfg, cfg, cfg, cfg}
+	parRes, err := Direct{Workers: 4}.EvalBatch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqRes.MTTSF != parRes.MTTSF {
-		t.Errorf("MTTSF %v (parallel) != %v (sequential)", parRes.MTTSF, seqRes.MTTSF)
-	}
-	if seqRes.Ctotal != parRes.Ctotal {
-		t.Errorf("Ctotal %v (parallel) != %v (sequential)", parRes.Ctotal, seqRes.Ctotal)
+	for i, r := range parRes {
+		if seqRes.MTTSF != r.MTTSF {
+			t.Errorf("point %d: MTTSF %v (parallel) != %v (sequential)", i, r.MTTSF, seqRes.MTTSF)
+		}
+		if seqRes.Ctotal != r.Ctotal {
+			t.Errorf("point %d: Ctotal %v (parallel) != %v (sequential)", i, r.Ctotal, seqRes.Ctotal)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -61,14 +62,6 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	return pd, nil
 }
 
-// Observe records an externally obtained solution (typically the donor's
-// or a cache hit's) as the warm start for the next patched solve.
-func (pd *PreparedDelta) Observe(sol *ctmc.Solution) {
-	if sol != nil {
-		pd.prevY = sol.SojournTimes()
-	}
-}
-
 // Prepared evaluates cfg through the patch+re-solve path, returning a
 // Prepared whose solution is already computed. A structural delta — by
 // classification or by the re-rate replay's ground-truth check — returns
@@ -106,4 +99,84 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain()}
 	p.solveOnce.Do(func() { p.sol = sol })
 	return p, nil
+}
+
+// SweepSession walks the points of one structural family through a single
+// PreparedDelta chain over a PreparedEvaluator: the first miss pays a full
+// prepare and anchors the session, every later rate-only miss patches and
+// re-solves in place, and a structural delta or hard patched-solve failure
+// falls back to the full path and re-anchors. Cache hits cost nothing and
+// do not advance the chain. It is the one incremental sweep loop: the
+// incremental grid drivers, the engine's incremental batch entry and its
+// adaptive frontier all walk it. Not safe for concurrent use.
+type SweepSession struct {
+	pe PreparedEvaluator
+	pd *PreparedDelta
+}
+
+// NewSweepSession returns an unanchored session evaluating through pe.
+func NewSweepSession(pe PreparedEvaluator) *SweepSession {
+	return &SweepSession{pe: pe}
+}
+
+// Eval evaluates one point through the session, with pe's
+// EvalWithContext cancellation semantics.
+func (s *SweepSession) Eval(ctx context.Context, cfg Config) (*Result, error) {
+	return s.pe.EvalWithContext(ctx, cfg, func() (*Prepared, error) {
+		if s.pd != nil {
+			if p, err := s.pd.Prepared(cfg); err == nil {
+				return p, nil
+			}
+			s.pd = nil
+		}
+		p, err := s.pe.Prepared(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if npd, err := NewPreparedDelta(p); err == nil {
+			s.pd = npd
+		}
+		return p, nil
+	})
+}
+
+// EvalIncremental evaluates a batch through SweepSessions: configurations
+// are grouped by StructuralKey (groups keep their discovery order, points
+// keep batch order within a group), and each group is walked through one
+// session on the calling goroutine — the patch chain is inherently
+// sequential, and the point is to trade batch parallelism for the (larger)
+// algorithmic saving when the batch is a dense rate-only family. Batches
+// spanning many structural keys are better served by a plain EvalBatch.
+// ctx is checked before each point; per-point errors are joined and order
+// is preserved.
+func EvalIncremental(ctx context.Context, pe PreparedEvaluator, cfgs []Config) ([]*Result, error) {
+	results := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+
+	order := make([]string, 0, 4)
+	groups := make(map[string][]int, 4)
+	for i, cfg := range cfgs {
+		key := StructuralKey(cfg)
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], i)
+	}
+
+	for _, key := range order {
+		sess := NewSweepSession(pe)
+		for _, i := range groups[key] {
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			res, err := sess.Eval(ctx, cfgs[i])
+			if err != nil {
+				errs[i] = fmt.Errorf("config %d: %w", i, err)
+				continue
+			}
+			results[i] = res
+		}
+	}
+	return results, errors.Join(errs...)
 }

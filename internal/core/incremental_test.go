@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/shapes"
 )
 
 // incrementalTestGrid is the rate-only neighbourhood the patch+re-solve
@@ -188,27 +190,171 @@ func TestPreparedDeltaStructuralFallback(t *testing.T) {
 	}
 }
 
-// TestIncrementalSweepMatchesCold pins the SweepOpts seam end to end: an
-// incremental sweep returns the same metrics as an independent cold sweep.
+// TestIncrementalSweepMatchesCold drives the one incremental sweep loop,
+// SweepSession, through each of its core callers on a batch whose N
+// changes mid-batch (10 -> 12 -> 10), against cold Direct.EvalBatch to
+// 1e-10:
+//   - the session walked directly, which must refuse and re-anchor at each
+//     structural boundary (two structural re-prepares);
+//   - EvalIncremental, the body of engine.EvalBatchIncremental, which groups
+//     by StructuralKey so no session sees a boundary (zero re-prepares);
+//   - SweepTIDS(WithIncremental) and ExploreDesignSpace(WithIncremental) on
+//     a Direct default evaluator, one TIDS family per N;
+//
+// and checks that a context canceled mid-batch stops it at a point
+// boundary.
 func TestIncrementalSweepMatchesCold(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.N = 10
+	prev := SetDefaultEvaluator(Direct{})
+	defer SetDefaultEvaluator(prev)
+	base := DefaultConfig()
+	base.N = 10
 	grid := []float64{5, 15, 30, 60, 120, 240, 480, 600, 1200}
-	cold, err := SweepTIDS(cfg, grid)
+	var batch []Config
+	for i, tids := range grid {
+		c := base
+		c.TIDS = tids
+		if i >= 3 && i < 6 {
+			c.N = 12
+		}
+		batch = append(batch, c)
+	}
+	cold, err := Direct{}.EvalBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := SweepTIDSOpts(cfg, grid, SweepOpts{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold {
-		w, g := cold[i].Result, inc[i].Result
-		if d := (w.MTTSF - g.MTTSF) / w.MTTSF; d > 1e-10 || d < -1e-10 {
-			t.Errorf("TIDS=%v: incremental MTTSF %g vs cold %g", grid[i], g.MTTSF, w.MTTSF)
+	coldAt := func(cfg Config) *Result {
+		for i, c := range batch {
+			if c.N == cfg.N && c.TIDS == cfg.TIDS && c.M == cfg.M && c.Detection == cfg.Detection {
+				return cold[i]
+			}
 		}
-		if d := (w.Ctotal - g.Ctotal) / w.Ctotal; d > 1e-10 || d < -1e-10 {
-			t.Errorf("TIDS=%v: incremental Ctotal %g vs cold %g", grid[i], g.Ctotal, w.Ctotal)
+		res, err := Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	agree := func(caller string, cfg Config, got *Result) {
+		t.Helper()
+		if got == nil {
+			t.Fatalf("%s: N=%d TIDS=%v: nil result", caller, cfg.N, cfg.TIDS)
+		}
+		want := coldAt(cfg)
+		if d := (got.MTTSF - want.MTTSF) / want.MTTSF; d > 1e-10 || d < -1e-10 {
+			t.Errorf("%s: N=%d TIDS=%v: incremental MTTSF %g vs cold %g", caller, cfg.N, cfg.TIDS, got.MTTSF, want.MTTSF)
+		}
+		if d := (got.Ctotal - want.Ctotal) / want.Ctotal; d > 1e-10 || d < -1e-10 {
+			t.Errorf("%s: N=%d TIDS=%v: incremental Ctotal %g vs cold %g", caller, cfg.N, cfg.TIDS, got.Ctotal, want.Ctotal)
 		}
 	}
+	repreps := func(caller string, want uint64, run func()) {
+		t.Helper()
+		before := StructuralRepreps()
+		run()
+		if got := StructuralRepreps() - before; got != want {
+			t.Errorf("%s: %d structural re-prepares, want %d", caller, got, want)
+		}
+	}
+
+	repreps("session", 2, func() {
+		sess := NewSweepSession(Direct{})
+		for _, cfg := range batch {
+			res, err := sess.Eval(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree("session", cfg, res)
+		}
+	})
+	repreps("EvalIncremental", 0, func() {
+		res, err := EvalIncremental(context.Background(), Direct{}, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range batch {
+			agree("EvalIncremental", cfg, res[i])
+		}
+	})
+	repreps("SweepTIDS", 0, func() {
+		for _, n := range []int{10, 12} {
+			cfg := base
+			cfg.N = n
+			points, err := SweepTIDS(cfg, grid, WithIncremental())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range points {
+				c := cfg
+				c.TIDS = p.TIDS
+				agree("SweepTIDS", c, p.Result)
+			}
+		}
+	})
+	space := DesignSpace{Ms: []int{3, 7}, TIDSGrid: grid[:4], Detections: []shapes.Kind{shapes.Linear, shapes.Logarithmic}}
+	repreps("ExploreDesignSpace", 0, func() {
+		for _, n := range []int{10, 12} {
+			cfg := base
+			cfg.N = n
+			points, err := ExploreDesignSpace(cfg, space, WithIncremental())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(points) != space.Size() {
+				t.Fatalf("ExploreDesignSpace returned %d points, want %d", len(points), space.Size())
+			}
+			for _, p := range points {
+				c := cfg
+				c.M, c.TIDS, c.Detection = p.M, p.TIDS, p.Detection
+				agree("ExploreDesignSpace", c, &Result{MTTSF: p.MTTSF, Ctotal: p.Ctotal})
+			}
+		}
+	})
+
+	// Cancellation lands on a point boundary: the evaluator cancels the
+	// context as its third point completes, so exactly three points are
+	// evaluated and every later one reports the cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ev := &cancelAfter{left: 3, cancel: cancel}
+	res, err := EvalIncremental(ctx, ev, batch)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
+	}
+	if ev.evals != 3 {
+		t.Fatalf("canceled batch evaluated %d points, want 3", ev.evals)
+	}
+	for i, r := range res {
+		if (r != nil) != (i < 3) {
+			t.Errorf("point %d: result present = %v after cancellation at point 3", i, r != nil)
+		}
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	ev = &cancelAfter{left: 3, cancel: cancel}
+	SetDefaultEvaluator(ev)
+	if _, err := SweepTIDS(base, grid, WithIncremental(), WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled SweepTIDS returned %v, want context.Canceled", err)
+	}
+	if ev.evals != 3 {
+		t.Fatalf("canceled SweepTIDS evaluated %d points, want 3", ev.evals)
+	}
+}
+
+// cancelAfter is a Direct evaluator that cancels its caller's context as
+// its left-th evaluation completes.
+type cancelAfter struct {
+	Direct
+	left, evals int
+	cancel      func()
+}
+
+func (c *cancelAfter) EvalWithContext(ctx context.Context, cfg Config, prepare func() (*Prepared, error)) (*Result, error) {
+	res, err := c.Direct.EvalWithContext(ctx, cfg, prepare)
+	if err == nil {
+		c.evals++
+		if c.evals == c.left {
+			c.cancel()
+		}
+	}
+	return res, err
 }

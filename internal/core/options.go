@@ -10,25 +10,20 @@ import (
 // the zero set is the plain bounded-batch cold path.
 type SweepOption func(*sweepConfig)
 
-// sweepConfig is the resolved option set. It embeds the legacy SweepOpts
-// struct so the *Opts wrappers translate losslessly.
+// sweepConfig is the resolved option set.
 type sweepConfig struct {
-	SweepOpts
-	ctx context.Context
+	incremental bool
+	ctx         context.Context
 }
 
-// WithWarmStart chains grid points through one ctmc.SweepSolver per
-// structural family: each transient solve starts from its grid neighbour's
-// sojourn vector. See SweepOpts.WarmStart for the full contract.
-func WithWarmStart() SweepOption {
-	return func(o *sweepConfig) { o.WarmStart = true }
-}
-
-// WithIncremental routes neighbouring grid points through the
-// patch+re-solve path (PreparedDelta). Implies WithWarmStart's sequential
-// evaluation order. See SweepOpts.Incremental for the full contract.
+// WithIncremental routes the grid through EvalIncremental: points sharing
+// a StructuralKey walk one SweepSession in grid order, so every rate-only
+// neighbour after the first is patched and re-solved in place instead of
+// re-explored and re-assembled. Structural deltas and hard solve failures
+// fall back to the full path (and re-anchor), so results are
+// tolerance-identical to a cold sweep.
 func WithIncremental() SweepOption {
-	return func(o *sweepConfig) { o.Incremental = true }
+	return func(o *sweepConfig) { o.incremental = true }
 }
 
 // WithContext makes the driver honor ctx: evaluation stops with ctx.Err()
@@ -37,20 +32,6 @@ func WithIncremental() SweepOption {
 // point starts).
 func WithContext(ctx context.Context) SweepOption {
 	return func(o *sweepConfig) { o.ctx = ctx }
-}
-
-// withSweepOpts adapts a legacy SweepOpts struct onto the option chain.
-func withSweepOpts(opts SweepOpts) SweepOption {
-	return func(o *sweepConfig) {
-		o.WarmStart = o.WarmStart || opts.WarmStart
-		o.Incremental = o.Incremental || opts.Incremental
-	}
-}
-
-// withSweepConfig forwards an already-resolved option set to a nested
-// driver call.
-func withSweepConfig(cfg sweepConfig) SweepOption {
-	return func(o *sweepConfig) { *o = cfg }
 }
 
 func applySweepOptions(opts []SweepOption) sweepConfig {
@@ -73,11 +54,23 @@ func (o sweepConfig) ctxErr() error {
 	return nil
 }
 
-// evalBatchMaybeCtx runs one bounded batch through the default evaluator,
-// routing through its context-aware entry point when the caller supplied a
-// context and the evaluator has one (the memoizing engine does).
-func evalBatchMaybeCtx(o sweepConfig, cfgs []Config) ([]*Result, error) {
+// evalBatch runs one grid through the default evaluator: incrementally
+// when asked and the evaluator can hand out prepared models, otherwise as
+// one bounded batch, through the evaluator's context-aware entry point
+// when the caller supplied a context and the evaluator has one (the
+// memoizing engine does).
+func (o sweepConfig) evalBatch(cfgs []Config) ([]*Result, error) {
+	if err := o.ctxErr(); err != nil {
+		return nil, err
+	}
 	ev := DefaultEvaluator()
+	if pe, ok := ev.(PreparedEvaluator); ok && o.incremental {
+		ctx := o.ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		return EvalIncremental(ctx, pe, cfgs)
+	}
 	if o.ctx != nil {
 		if cev, ok := ev.(interface {
 			EvalBatchContext(context.Context, []Config) ([]*Result, error)

@@ -33,12 +33,11 @@ type Prepared struct {
 // assembles the CTMC — everything up to (but not including) the linear
 // solve. The configuration's solver backend (Config.Solver, "" = auto) is
 // pinned on the chain here so every solve derived from this Prepared —
-// cold, warm-started, or all-starts — runs through it. Note the memoizing
-// engine shares prepared models across solver spellings (the fingerprint
-// excludes Solver, like Parallelism): a cache-hit Prepared keeps the
-// backend of whichever spelling prepared it first, which is sound because
-// backends are execution policy — its solution is memoized and
-// tolerance-identical under every backend.
+// cold or all-starts — runs through it. Note the memoizing engine shares
+// prepared models across solver spellings (the fingerprint excludes
+// Solver): a cache-hit Prepared keeps the backend of whichever spelling
+// prepared it first, which is sound because backends are execution policy
+// — its solution is memoized and tolerance-identical under every backend.
 func Prepare(cfg Config) (*Prepared, error) {
 	model, err := BuildModel(cfg)
 	if err != nil {
@@ -91,19 +90,6 @@ func (p *Prepared) Solution() (*ctmc.Solution, error) {
 	p.solveOnce.Do(func() {
 		p.sol, p.solErr = p.Chain.Solve(p.Graph.Initial)
 	})
-	return p.sol, p.solErr
-}
-
-// SolutionSwept performs (or reuses) the solve as part of a sweep chain:
-// a cache-hit Prepared feeds its memoized solution into ws so the next
-// grid point still warm-starts; a miss solves through ws, inheriting the
-// previous point's sojourn vector and the sweep's calibrated relaxation
-// factor.
-func (p *Prepared) SolutionSwept(ws *ctmc.SweepSolver) (*ctmc.Solution, error) {
-	p.solveOnce.Do(func() {
-		p.sol, p.solErr = ws.Solve(p.Chain, p.Graph.Initial)
-	})
-	ws.Observe(p.sol)
 	return p.sol, p.solErr
 }
 

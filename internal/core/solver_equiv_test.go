@@ -117,41 +117,6 @@ func TestBackendsMatchDenseLUOnModelGrid(t *testing.T) {
 	}
 }
 
-// TestBackendsMatchDenseLUWarmSwept extends the equivalence property to
-// warm-started sweep points: chaining a TIDS sweep through a SweepSolver
-// under every backend must still land on the dense-LU answer at every grid
-// point.
-func TestBackendsMatchDenseLUWarmSwept(t *testing.T) {
-	grid := []float64{30, 120, 480}
-	base := DefaultConfig()
-	base.N = 10
-	for _, name := range ctmc.SolverBackendNames() {
-		ws := ctmc.NewSweepSolver()
-		for _, tids := range grid {
-			cfg := base
-			cfg.TIDS = tids
-			cfg.Solver = name
-			p, err := Prepare(cfg)
-			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
-			}
-			sol, err := p.SolutionSwept(ws)
-			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
-			}
-			want := denseSojournReference(t, p)
-			y := sol.SojournTimes()
-			scale := 1 + want.NormInf()
-			for i := range want {
-				if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
-					t.Fatalf("solver %s TIDS %v: warm sojourn[%d] = %g, dense LU %g",
-						name, tids, i, y[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestConfigSolverValidation pins the knob's validation: registered names
 // and "" pass, anything else is rejected before any work happens.
 func TestConfigSolverValidation(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/ctmc"
 	"repro/internal/obs"
 	"repro/internal/shapes"
 )
@@ -25,125 +24,26 @@ type SweepPoint struct {
 // bounded by the evaluator's worker pool (no goroutine-per-point fan-out),
 // and when the memoizing engine is installed, grid points already
 // evaluated — by this sweep or any earlier one — are served from cache.
-// WithWarmStart/WithIncremental chain the points through one solver
-// session instead, and WithContext makes the sweep cancelable between
-// points.
+// WithIncremental walks the points through one SweepSession instead, and
+// WithContext makes the sweep cancelable between points.
 func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("core: empty TIDS grid")
 	}
 	sp := obs.StartStage(obs.StageSweep)
 	defer sp.End()
-	o := applySweepOptions(opts)
-	if o.WarmStart || o.Incremental {
-		if pe, ok := DefaultEvaluator().(PreparedEvaluator); ok {
-			return sweepTIDSChained(cfg, grid, o, pe)
-		}
-	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
 	cfgs := make([]Config, len(grid))
 	for i, tids := range grid {
 		cfgs[i] = cfg
 		cfgs[i].TIDS = tids
 	}
-	results, err := evalBatchMaybeCtx(o, cfgs)
+	results, err := applySweepOptions(opts).evalBatch(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("core: TIDS sweep: %w", err)
 	}
 	points := make([]SweepPoint, len(grid))
 	for i, tids := range grid {
 		points[i] = SweepPoint{TIDS: tids, Result: results[i]}
-	}
-	return points, nil
-}
-
-// SweepOpts selects how a grid sweep evaluates its points.
-type SweepOpts struct {
-	// WarmStart chains the grid points through one ctmc.SweepSolver: each
-	// point's transient solve starts from the previous point's sojourn
-	// vector — the TIDS grid yields structurally identical state spaces
-	// with identical numbering (detection intervals change rates, never
-	// reachability), so the vectors align index-for-index even though
-	// each point still prepares its own graph — and the first solve
-	// calibrates the SOR relaxation factor the rest of the family runs
-	// at. Together they cut the sweep's solver iterations well past the
-	// 30% acceptance bar — ctmc.SolveIterations exposes the counter that
-	// proves it. Warm sweeps evaluate points in grid order on the calling
-	// goroutine (the chaining is inherently sequential); cold sweeps fan
-	// out over the evaluator's worker pool. Results are
-	// tolerance-identical (1e-12 relative residual) either way.
-	WarmStart bool
-	// Incremental routes neighbouring grid points through the
-	// patch+re-solve path (PreparedDelta): the first point pays a full
-	// prepare and anchors an incremental session; every later rate-only
-	// point re-rates the shared graph, patches the cached generator
-	// pattern in place, and re-solves through the session's reused
-	// factorization (exact block-triangular, frozen-ILU Krylov fallback)
-	// — skipping explore, assembly, transpose, and symbolic
-	// factorization. Structural deltas and hard solve failures fall back
-	// to the full path (and re-anchor), so results are always
-	// tolerance-identical to a cold sweep. Implies WarmStart's sequential
-	// evaluation order.
-	Incremental bool
-}
-
-// SweepTIDSOpts is SweepTIDS with an explicit options struct, kept for
-// callers predating the functional options. With WarmStart set and a
-// PreparedEvaluator installed (both Direct and the memoizing engine
-// qualify), each solve warm-starts from the previous grid point; otherwise
-// it behaves exactly like SweepTIDS.
-func SweepTIDSOpts(cfg Config, grid []float64, opts SweepOpts) ([]SweepPoint, error) {
-	return SweepTIDS(cfg, grid, withSweepOpts(opts))
-}
-
-// sweepTIDSChained is the warm/incremental sequential path: points
-// evaluate in grid order on the calling goroutine through one
-// ctmc.SweepSolver (and, with Incremental, one PreparedDelta session).
-func sweepTIDSChained(cfg Config, grid []float64, opts sweepConfig, pe PreparedEvaluator) ([]SweepPoint, error) {
-	points := make([]SweepPoint, len(grid))
-	ws := ctmc.NewSweepSolver()
-	var pd *PreparedDelta
-	for i, tids := range grid {
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		c := cfg
-		c.TIDS = tids
-		// Result-cached points cost neither a build nor a solve (they
-		// simply don't advance the warm chain — the next miss starts
-		// from the last actually-solved neighbour, which is still a
-		// valid guess).
-		res, err := pe.EvalWith(c, func() (*Prepared, error) {
-			if opts.Incremental && pd != nil {
-				if p, err := pd.Prepared(c); err == nil {
-					return p, nil
-				}
-				// Structural delta or hard patched-solve failure: fall
-				// through to the full path and re-anchor on its result.
-				pd = nil
-			}
-			p, err := pe.Prepared(c)
-			if err != nil {
-				return nil, err
-			}
-			sol, err := p.SolutionSwept(ws)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Incremental {
-				if npd, err := NewPreparedDelta(p); err == nil {
-					npd.Observe(sol)
-					pd = npd
-				}
-			}
-			return p, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: TIDS sweep (TIDS=%v): %w", tids, err)
-		}
-		points[i] = SweepPoint{TIDS: tids, Result: res}
 	}
 	return points, nil
 }

@@ -36,9 +36,8 @@ type SolveContext struct {
 	// must not modify it.
 	X0 linalg.Vector
 	// ILU returns the ILU(0) factorization of A, computed at most once per
-	// chain and shared by every solve of the same matrix — each sweep point
-	// and warm-started SweepSolver solve reuses the factors rather than
-	// refactoring. For a value-patched system the factors may be *frozen*
+	// chain and shared by every solve of the same matrix, so repeat solves
+	// reuse the factors rather than refactoring. For a value-patched system the factors may be *frozen*
 	// (computed for a nearby matrix): Krylov backends tolerate an
 	// approximate preconditioner, paying iterations instead of wrong
 	// answers.
@@ -183,7 +182,6 @@ const (
 	BackendAuto        = "auto"
 	BackendSORCascade  = "sor-cascade"
 	BackendILUBiCGSTAB = "ilu-bicgstab"
-	BackendGMRES       = "gmres"
 )
 
 // addSolveIters accounts iterative-solver iterations to both the global
@@ -249,7 +247,6 @@ func resolveBackend(b SolverBackend, a *linalg.CSR) SolverBackend {
 func init() {
 	RegisterSolverBackend(sorCascadeBackend{})
 	RegisterSolverBackend(iluBiCGSTABBackend{})
-	RegisterSolverBackend(gmresBackend{})
 	RegisterSolverBackend(autoBackend{})
 }
 
@@ -285,30 +282,6 @@ func (iluBiCGSTABBackend) Solve(ctx *SolveContext) (linalg.Vector, error) {
 		return x, nil
 	}
 	countFallback(BackendILUBiCGSTAB)
-	return cascade(ctx)
-}
-
-// gmresBackend solves with restarted GMRES(40), ILU(0)-preconditioned.
-// Smoother convergence than BiCGSTAB on strongly non-normal operators at
-// the price of the restart-window memory; same cascade fallback.
-type gmresBackend struct{}
-
-func (gmresBackend) Name() string { return BackendGMRES }
-
-func (gmresBackend) Solve(ctx *SolveContext) (linalg.Vector, error) {
-	var pre linalg.Preconditioner
-	if f, err := ctx.ILU(); err == nil {
-		pre = f
-	}
-	x, res, err := linalg.SolveGMRES(ctx.A, ctx.B, pre, linalg.GMRESOpts{
-		IterOpts: linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0},
-		Restart:  40,
-	})
-	ctx.countIters(BackendGMRES, uint64(res.Iterations))
-	if err == nil {
-		return x, nil
-	}
-	countFallback(BackendGMRES)
 	return cascade(ctx)
 }
 

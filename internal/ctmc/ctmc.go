@@ -35,8 +35,8 @@ type Chain struct {
 	subT     *linalg.CSR
 
 	// ILU(0) factors are cached alongside the sub-generators they factor,
-	// one per matrix, so every sweep point and warm-started solve of the
-	// same chain reuses them instead of refactoring.
+	// one per matrix, so every solve of the same chain reuses them instead
+	// of refactoring.
 	iluSubOnce  sync.Once
 	iluSub      *linalg.ILU0
 	iluSubErr   error
@@ -227,13 +227,11 @@ const (
 // degradation ladder: the backend's result is validated (finite entries +
 // residual gate) and a breakdown or invalid output falls back primary →
 // sor-cascade → dense LU, counted per backend in FallbacksByBackend. ilu
-// hands the backend the chain-cached ILU(0) factors of a. Warm-start
-// guesses change iteration counts, not answers: every accepted solution
-// passed the same residual gate.
-func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*linalg.ILU0, error)) (linalg.Vector, error) {
+// hands the backend the chain-cached ILU(0) factors of a.
+func (c *Chain) solveVia(a *linalg.CSR, rhs linalg.Vector, ilu func() (*linalg.ILU0, error)) (linalg.Vector, error) {
 	solveCount.Add(1)
 	b := resolveBackend(c.Solver(), a)
-	sctx := &SolveContext{A: a, B: rhs, X0: x0, ILU: ilu}
+	sctx := &SolveContext{A: a, B: rhs, ILU: ilu}
 	if !obs.Armed() {
 		return solveDegrading(b, sctx)
 	}
@@ -255,15 +253,6 @@ func cascade(ctx *SolveContext) (linalg.Vector, error) {
 	if err == nil {
 		return x, nil
 	}
-	return cascadeTail(ctx, err)
-}
-
-// cascadeTail is the cascade after a failed full-budget SOR attempt
-// (BiCGSTAB, then dense LU for small systems). The sweep solver enters
-// here directly when its ω = 1 calibration attempt — already an identical
-// full-budget SOR run — failed, rather than paying the same 40k sweeps
-// twice.
-func cascadeTail(ctx *SolveContext, sorErr error) (linalg.Vector, error) {
 	x, res, err2 := linalg.SolveBiCGSTAB(ctx.A, ctx.B, linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0})
 	ctx.countIters(BackendSORCascade, uint64(res.Iterations))
 	if err2 == nil {
@@ -275,7 +264,7 @@ func cascadeTail(ctx *SolveContext, sorErr error) (linalg.Vector, error) {
 			return xd, nil
 		}
 	}
-	return nil, fmt.Errorf("ctmc: linear solve failed: SOR %v; BiCGSTAB %v", sorErr, err2)
+	return nil, fmt.Errorf("ctmc: linear solve failed: SOR %v; BiCGSTAB %v", err, err2)
 }
 
 // SojournTimes returns, for a chain started in state init, the expected
@@ -283,22 +272,11 @@ func cascadeTail(ctx *SolveContext, sorErr error) (linalg.Vector, error) {
 // have y[j] = 0. This single solve yields MTTA (sum of y), any accumulated
 // reward (dot product with a reward vector), and absorption splits.
 func (c *Chain) SojournTimes(init int) (linalg.Vector, error) {
-	return c.SojournTimesFrom(init, nil)
-}
-
-// SojournTimesFrom is SojournTimes with an optional warm-start guess: warm
-// is a previous full-length sojourn vector, expected to come from a chain
-// with the same state numbering (the sweep drivers guarantee that — grid
-// points differ in rates, not reachability). A vector of any other length
-// is silently ignored; a vector that matches in length but came from a
-// structurally different chain only degrades the starting iterate, never
-// the answer, since every solve converges to the same 1e-12 residual.
-func (c *Chain) SojournTimesFrom(init int, warm linalg.Vector) (linalg.Vector, error) {
 	at, rhs, y, done, err := c.transientSystem(init)
 	if done || err != nil {
 		return y, err
 	}
-	sol, err := c.solveVia(at, rhs, c.compactWarm(warm), c.iluForSubT)
+	sol, err := c.solveVia(at, rhs, c.iluForSubT)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +392,7 @@ func (c *Chain) ExpectedRewardAllStarts(reward linalg.Vector) (linalg.Vector, er
 	for ti, i := range c.tRev {
 		rhs[ti] = -reward[i]
 	}
-	sol, err := c.solveVia(a, rhs, nil, c.iluForSub)
+	sol, err := c.solveVia(a, rhs, c.iluForSub)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +421,7 @@ func (c *Chain) SolveSubTT(rhsFull linalg.Vector) (linalg.Vector, error) {
 	for ti, i := range c.tRev {
 		rhs[ti] = rhsFull[i]
 	}
-	sol, err := c.solveVia(c.subGeneratorT(), rhs, nil, c.iluForSubT)
+	sol, err := c.solveVia(c.subGeneratorT(), rhs, c.iluForSubT)
 	if err != nil {
 		return nil, err
 	}

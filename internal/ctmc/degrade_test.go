@@ -75,7 +75,7 @@ func TestDegradationLadder(t *testing.T) {
 	want := denseReference(t, ref, 0)
 
 	faults := []string{faultinject.SolverBreakdown, faultinject.SolverNonFinite}
-	for _, name := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES, BackendAuto} {
+	for _, name := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendAuto} {
 		b, err := SolverBackendByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -51,7 +51,7 @@ func init() {
 	r.CounterFunc("repro_incremental_refactorizations_total",
 		"Exact block refactorizations triggered by the incremental re-solve path.",
 		func() float64 { return float64(Refactorizations()) })
-	for _, b := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
+	for _, b := range []string{BackendSORCascade, BackendILUBiCGSTAB} {
 		solveLatencyHist[b] = r.Histogram("repro_solver_solve_duration_seconds",
 			"Wall time of one transient solve, labeled by the primary backend it was routed to.",
 			obs.LatencyBuckets, obs.L("backend", b))

@@ -41,17 +41,7 @@ type Solution struct {
 // Solve performs the single transient solve for a chain started in init
 // and returns the Solution all downstream metrics derive from.
 func (c *Chain) Solve(init int) (*Solution, error) {
-	return c.SolveFrom(init, nil)
-}
-
-// SolveFrom is Solve with a warm-start guess: warm is a previous
-// Solution's sojourn vector (Solution.SojournTimes) over a chain with the
-// same state numbering, typically the neighbouring point of a parameter
-// sweep. A vector of the wrong length is ignored (cold start); the
-// solution itself is tolerance-identical either way — warm starts buy
-// iterations, not different answers.
-func (c *Chain) SolveFrom(init int, warm linalg.Vector) (*Solution, error) {
-	y, err := c.SojournTimesFrom(init, warm)
+	y, err := c.SojournTimes(init)
 	if err != nil {
 		return nil, err
 	}

@@ -491,19 +491,14 @@ func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
 	return e.preparedFor(Fingerprint(cfg), cfg)
 }
 
-// EvalWith evaluates cfg through the result cache and in-flight dedup,
-// calling prepare — the warm-start sweep drivers build and warm-solve the
-// model there — only on a miss, and recording the fresh Result so later
+// EvalWithContext evaluates cfg through the result cache and in-flight
+// dedup, calling prepare — the incremental sweep session patches or builds
+// the model there — only on a miss, and recording the fresh Result so later
 // Evals of the same point are ordinary hits instead of depending on the
 // prepared model surviving the byte-budgeted LRU. A fully cached sweep
-// thus re-solves nothing.
-func (e *Engine) EvalWith(cfg core.Config, prepare func() (*core.Prepared, error)) (*core.Result, error) {
-	return e.EvalWithContext(context.Background(), cfg, prepare)
-}
-
-// EvalWithContext is EvalWith with EvalContext's cancellation semantics: a
-// canceled caller stops before registering a fresh evaluation, or walks
-// away from one already underway (which runs to completion and is cached).
+// thus re-solves nothing. Cancellation follows EvalContext: a canceled
+// caller stops before registering a fresh evaluation, or walks away from
+// one already underway (which runs to completion and is cached).
 func (e *Engine) EvalWithContext(ctx context.Context, cfg core.Config, prepare func() (*core.Prepared, error)) (*core.Result, error) {
 	return e.evalShared(ctx, Fingerprint(cfg), cfg, func() (*core.Result, error) {
 		p, err := prepare()
@@ -532,8 +527,8 @@ func (e *Engine) EvalBatchContext(ctx context.Context, cfgs []core.Config) ([]*c
 	})
 }
 
-// WorkerBound reports the engine's batch-parallelism cap, so core's
-// warm-start drivers fan out under the same bound as EvalBatch.
+// WorkerBound reports the engine's batch-parallelism cap, so the service
+// meters its solve semaphore under the same bound as EvalBatch.
 func (e *Engine) WorkerBound() int { return e.workers }
 
 // Survival estimates the survival function with reps exact CTMC samples,

@@ -159,38 +159,14 @@ func TestFingerprintCanonicalization(t *testing.T) {
 // TestFingerprintCoversConfig pins the struct shapes the fingerprint
 // serializes: adding a field to core.Config or cost.Params must be
 // accompanied by a fingerprint update (then bump the counts here). Of the
-// 25 Config fields, 23 are serialized; Parallelism and Solver are excluded
-// by design (see TestFingerprintIgnoresParallelism and
+// 24 Config fields, 23 are serialized; Solver is excluded by design (see
 // TestFingerprintIgnoresSolver).
 func TestFingerprintCoversConfig(t *testing.T) {
-	if n := reflect.TypeOf(core.Config{}).NumField(); n != 25 {
-		t.Errorf("core.Config has %d fields; Fingerprint serializes 23 of 25 — update fingerprint.go and this count", n)
+	if n := reflect.TypeOf(core.Config{}).NumField(); n != 24 {
+		t.Errorf("core.Config has %d fields; Fingerprint serializes 23 of 24 — update fingerprint.go and this count", n)
 	}
 	if n := reflect.TypeOf(cost.Params{}).NumField(); n != 13 {
 		t.Errorf("cost.Params has %d fields; Fingerprint serializes 13 — update fingerprint.go and this count", n)
-	}
-}
-
-// TestFingerprintIgnoresParallelism pins that exploration parallelism is
-// an execution policy, not a model parameter: configurations differing
-// only in Parallelism evaluate byte-identically (the parallel explorer is
-// deterministically renumbered), so they must share one cache entry.
-func TestFingerprintIgnoresParallelism(t *testing.T) {
-	base := testConfig()
-	par := base
-	par.Parallelism = 8
-	if Fingerprint(base) != Fingerprint(par) {
-		t.Fatal("Parallelism changed the fingerprint; sequential and parallel evaluations would not share cache entries")
-	}
-	e := New(Options{})
-	if _, err := e.Eval(base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Eval(par); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Evals != 1 || st.Hits != 1 {
-		t.Fatalf("stats %+v, want the parallel spelling served from the sequential entry", st)
 	}
 }
 
@@ -386,24 +362,24 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestWarmSweepPopulatesResultCache pins that warm-start sweeps feed the
-// engine's result cache through EvalPrepared: the points a warm chain
-// computes must later be served as ordinary hits even if the prepared
-// LRU has evicted their graphs.
-func TestWarmSweepPopulatesResultCache(t *testing.T) {
+// TestIncrementalSweepPopulatesResultCache pins that incremental sweeps
+// feed the engine's result cache through EvalWithContext: the points a
+// sweep session computes must later be served as ordinary hits even if the
+// prepared LRU has evicted their graphs.
+func TestIncrementalSweepPopulatesResultCache(t *testing.T) {
 	e := New(Options{})
 	prev := core.SetDefaultEvaluator(e)
 	defer core.SetDefaultEvaluator(prev)
 
 	cfg := testConfig()
 	grid := []float64{60, 120}
-	points, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true})
+	points, err := core.SweepTIDS(cfg, grid, core.WithIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.Entries != len(grid) || st.Evals != uint64(len(grid)) {
-		t.Fatalf("stats %+v after warm sweep, want %d cached results / evals", st, len(grid))
+		t.Fatalf("stats %+v after incremental sweep, want %d cached results / evals", st, len(grid))
 	}
 
 	c := cfg
@@ -413,19 +389,19 @@ func TestWarmSweepPopulatesResultCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := e.Stats(); after.Hits != st.Hits+1 || after.Evals != st.Evals {
-		t.Fatalf("stats %+v, want the warm-computed point served as a cache hit", after)
+		t.Fatalf("stats %+v, want the session-computed point served as a cache hit", after)
 	}
 	if res.MTTSF != points[0].Result.MTTSF {
-		t.Fatalf("cached MTTSF %v, warm sweep computed %v", res.MTTSF, points[0].Result.MTTSF)
+		t.Fatalf("cached MTTSF %v, incremental sweep computed %v", res.MTTSF, points[0].Result.MTTSF)
 	}
 
-	// A repeat warm sweep over cached points rebuilds and re-solves
-	// nothing: EvalWith consults the result cache before preparing.
+	// A repeat sweep over cached points rebuilds and re-solves nothing:
+	// EvalWithContext consults the result cache before preparing.
 	solves := ctmc.SolveCount()
-	if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true}); err != nil {
+	if _, err := core.SweepTIDS(cfg, grid, core.WithIncremental()); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctmc.SolveCount() - solves; got != 0 {
-		t.Fatalf("repeat warm sweep performed %d solves, want 0 (all points result-cached)", got)
+		t.Fatalf("repeat incremental sweep performed %d solves, want 0 (all points result-cached)", got)
 	}
 }

@@ -18,12 +18,10 @@ import (
 //     defaults are the same cost model (both fingerprint through
 //     Config.EffectiveCost).
 //
-// Config.Parallelism and Config.Solver are deliberately omitted: both are
-// execution policies. The parallel explorer is renumbered to be
-// byte-identical to the sequential one, and every solver backend converges
-// to the same 1e-12 relative residual, so configurations differing only in
-// these knobs evaluate to identical Results (to solver tolerance) and must
-// share cache entries (pinned by TestFingerprintIgnoresParallelism and
+// Config.Solver is deliberately omitted: it is an execution policy. Every
+// solver backend converges to the same 1e-12 relative residual, so
+// configurations differing only in the backend evaluate to identical
+// Results (to solver tolerance) and must share cache entries (pinned by
 // TestFingerprintIgnoresSolver).
 //
 // Floats are encoded with exact binary formatting, so no two distinct

@@ -8,13 +8,15 @@ import (
 )
 
 // TestEvalBatchIncrementalMatchesEvalBatch pins the incremental batch
-// entry's equivalence contract: a batch spanning two structural families
-// (different N) and several rate-only points per family returns exactly the
-// results of the parallel full-prepare path, in order.
+// entry's equivalence contract: a batch whose N changes mid-batch (two
+// structural families, interleaved) and several rate-only points per family
+// returns exactly the results of the parallel full-prepare path, in order.
+// Grouping by structural key means no session ever meets a structural
+// delta, so the walk costs no structural re-prepare.
 func TestEvalBatchIncrementalMatchesEvalBatch(t *testing.T) {
 	var cfgs []core.Config
-	for _, n := range []int{10, 12} {
-		for _, tids := range []float64{5, 60, 120, 480, 1200} {
+	for _, tids := range []float64{5, 60, 120, 480, 1200} {
+		for _, n := range []int{10, 12} {
 			cfg := testConfig()
 			cfg.N = n
 			cfg.TIDS = tids
@@ -25,9 +27,13 @@ func TestEvalBatchIncrementalMatchesEvalBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repreps := core.StructuralRepreps()
 	got, err := New(Options{}).EvalBatchIncremental(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := core.StructuralRepreps() - repreps; d != 0 {
+		t.Errorf("grouped incremental batch paid %d structural re-prepares, want 0", d)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))

@@ -31,7 +31,7 @@ func TestInflightJoinersReceiveError(t *testing.T) {
 	// The winner: holds the in-flight slot until release, then fails.
 	winnerDone := make(chan error, 1)
 	go func() {
-		_, err := e.EvalWith(cfg, func() (*core.Prepared, error) {
+		_, err := e.EvalWithContext(context.Background(), cfg, func() (*core.Prepared, error) {
 			close(started)
 			<-release
 			return nil, wantErr
@@ -200,7 +200,7 @@ func TestWatchdogAbandonsHungSolve(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		// Winner occupies the in-flight slot with a slow prepare.
-		e.EvalWith(cfg, func() (*core.Prepared, error) {
+		e.EvalWithContext(context.Background(), cfg, func() (*core.Prepared, error) {
 			close(started)
 			<-release
 			return core.Prepare(cfg)

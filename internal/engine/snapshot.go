@@ -105,7 +105,7 @@ func (e *Engine) RestoreEntries(entries []SnapshotEntry) int {
 const schemaFormatVersion = 1
 
 // SchemaFingerprint digests the canonical fingerprint schema — the exact
-// field names and types of core.Config (the 25-field pin held by
+// field names and types of core.Config (the 24-field pin held by
 // TestFingerprintCoversConfig), everything reachable from it (cost.Params
 // included), and the cached core.Result layout. Two processes agree on
 // this string exactly when their cache keys and cached values are

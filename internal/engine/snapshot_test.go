@@ -176,7 +176,7 @@ func TestJoinInflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := e.EvalWith(cfg, func() (*core.Prepared, error) {
+		_, err := e.EvalWithContext(context.Background(), cfg, func() (*core.Prepared, error) {
 			close(started)
 			<-release
 			return core.Prepare(cfg)
@@ -234,7 +234,7 @@ func TestEvalContextAbandonsInflightWait(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Holds the in-flight slot for cfg while blocked in prepare.
-		_, err := e.EvalWith(cfg, func() (*core.Prepared, error) {
+		_, err := e.EvalWithContext(context.Background(), cfg, func() (*core.Prepared, error) {
 			close(started)
 			<-release
 			return core.Prepare(cfg)

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Preconditioner approximates A^{-1}: Apply writes M^{-1} r into z without
 // allocating (z never aliases r in this package's solvers). ILU0 implements
@@ -133,158 +130,4 @@ func SolvePrecBiCGSTAB(a *CSR, b Vector, m Preconditioner, opts IterOpts) (Vecto
 		}
 	}
 	return x, IterResult{Iterations: opts.MaxIter, Residual: r.Norm2() / bNorm}, ErrNoConvergence
-}
-
-// GMRESOpts configures SolveGMRES beyond the shared IterOpts.
-type GMRESOpts struct {
-	IterOpts
-	// Restart is the Krylov subspace dimension m of GMRES(m); default 40.
-	Restart int
-}
-
-// SolveGMRES solves A x = b with restarted, right-preconditioned GMRES(m):
-// Arnoldi with modified Gram-Schmidt, Givens rotations maintaining the
-// least-squares residual incrementally, restart every m steps. The reported
-// iteration count is the total number of Arnoldi steps across restarts
-// (one matvec plus one preconditioner application each).
-func SolveGMRES(a *CSR, b Vector, m Preconditioner, opts GMRESOpts) (Vector, IterResult, error) {
-	opts.defaults()
-	if opts.Restart <= 0 {
-		opts.Restart = 40
-	}
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, IterResult{}, fmt.Errorf("linalg: SolveGMRES dimension mismatch")
-	}
-	restart := opts.Restart
-	if restart > n {
-		restart = n
-	}
-	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveGMRES X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	apply := func(z, r Vector) {
-		if m != nil {
-			m.Apply(z, r)
-		} else {
-			copy(z, r)
-		}
-	}
-
-	// Workspaces reused across restarts.
-	r := NewVector(n)
-	w := NewVector(n)
-	z := NewVector(n)
-	v := make([]Vector, restart+1)
-	for i := range v {
-		v[i] = NewVector(n)
-	}
-	h := make([][]float64, restart+1) // h[i][j] = H(i, j), row-major Hessenberg
-	for i := range h {
-		h[i] = make([]float64, restart)
-	}
-	cs := make([]float64, restart)
-	sn := make([]float64, restart)
-	g := make([]float64, restart+1)
-	y := make([]float64, restart)
-
-	total := 0
-	lastRes := math.Inf(1)
-	for total < opts.MaxIter {
-		a.MulVecTo(r, x)
-		r.Sub(b, r)
-		beta := r.Norm2()
-		lastRes = beta / bNorm
-		if lastRes <= opts.Tol {
-			return x, IterResult{Iterations: total, Residual: lastRes}, nil
-		}
-		if math.IsNaN(lastRes) || math.IsInf(lastRes, 0) {
-			return nil, IterResult{Iterations: total, Residual: lastRes},
-				fmt.Errorf("linalg: GMRES diverged after %d iterations", total)
-		}
-		inv := 1 / beta
-		for i := range v[0] {
-			v[0][i] = r[i] * inv
-		}
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-
-		k := 0 // Arnoldi steps completed this cycle
-		for ; k < restart && total < opts.MaxIter; k++ {
-			total++
-			apply(z, v[k])
-			a.MulVecTo(w, z)
-			// Modified Gram-Schmidt against v[0..k].
-			for i := 0; i <= k; i++ {
-				hik := w.Dot(v[i])
-				h[i][k] = hik
-				w.AXPY(-hik, v[i])
-			}
-			hn := w.Norm2()
-			h[k+1][k] = hn
-			if hn != 0 {
-				inv := 1 / hn
-				for i := range v[k+1] {
-					v[k+1][i] = w[i] * inv
-				}
-			}
-			// Apply the accumulated Givens rotations to the new column,
-			// then generate the rotation eliminating H(k+1, k).
-			for i := 0; i < k; i++ {
-				hi, hi1 := h[i][k], h[i+1][k]
-				h[i][k] = cs[i]*hi + sn[i]*hi1
-				h[i+1][k] = -sn[i]*hi + cs[i]*hi1
-			}
-			denom := math.Hypot(h[k][k], h[k+1][k])
-			if denom == 0 {
-				cs[k], sn[k] = 1, 0
-			} else {
-				cs[k], sn[k] = h[k][k]/denom, h[k+1][k]/denom
-			}
-			h[k][k] = cs[k]*h[k][k] + sn[k]*h[k+1][k]
-			h[k+1][k] = 0
-			g[k+1] = -sn[k] * g[k]
-			g[k] = cs[k] * g[k]
-			lastRes = math.Abs(g[k+1]) / bNorm
-			if lastRes <= opts.Tol || hn == 0 {
-				k++
-				break
-			}
-		}
-		// Solve the k x k upper-triangular system H y = g.
-		for i := k - 1; i >= 0; i-- {
-			s := g[i]
-			for j := i + 1; j < k; j++ {
-				s -= h[i][j] * y[j]
-			}
-			y[i] = s / h[i][i]
-		}
-		// x += M^{-1} (V y): accumulate V y in w, precondition once.
-		w.Fill(0)
-		for j := 0; j < k; j++ {
-			w.AXPY(y[j], v[j])
-		}
-		apply(z, w)
-		x.AXPY(1, z)
-		if lastRes <= opts.Tol {
-			// Recompute the true residual: the rotated estimate can drift
-			// from the true one in long preconditioned runs.
-			trueRes := ResidualNorm(a, x, b) / bNorm
-			if trueRes <= opts.Tol {
-				return x, IterResult{Iterations: total, Residual: trueRes}, nil
-			}
-			lastRes = trueRes
-		}
-	}
-	return x, IterResult{Iterations: total, Residual: lastRes}, ErrNoConvergence
 }

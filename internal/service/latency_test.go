@@ -45,7 +45,10 @@ func TestRetryAfterDerivedFromLatency(t *testing.T) {
 		t.Fatalf("Retry-After at 3*width-second latency = %q, want \"3\"", got)
 	}
 
-	// A backlog scales the hint: (pending+1)/width times the latency.
+	// A backlog scales the hint: (pending+1)/width times the latency. A
+	// 3-second estimate with pending+1 = 2*width gives 6 at any width,
+	// clear of the 60-second clamp however many cores the host has.
+	s.solveLatency.bits.Store(math.Float64bits(3))
 	s.pendingSolves.Store(int64(2*width - 1))
 	if got := s.retryAfterSecs(); got != "6" {
 		t.Fatalf("Retry-After with a 2*width-deep queue = %q, want \"6\"", got)

@@ -52,11 +52,8 @@ func (a *markingArena) intern(m Marking) Marking {
 	return dst
 }
 
-// packSpec is the shared per-place field layout for packing a marking
-// into one uint64. The sequential marking table and the parallel explorer
-// both pack through it, so the packability boundary — the condition that
-// routes exploration to the hashed (sequential) fallback — is defined in
-// exactly one place.
+// packSpec is the per-place field layout for packing a marking into one
+// uint64; markings that do not fit route the table to its hashed mode.
 type packSpec struct {
 	bits  uint // bits per place
 	limit int  // 1 << bits: first count that no longer packs
@@ -87,15 +84,6 @@ func (s packSpec) pack(m Marking) (uint64, bool) {
 		k = k<<s.bits | uint64(v)
 	}
 	return k, true
-}
-
-// unpack decodes k into dst, the inverse of pack for len(dst) places.
-func (s packSpec) unpack(dst Marking, k uint64) {
-	mask := uint64(s.limit - 1)
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] = int(k & mask)
-		k >>= s.bits
-	}
 }
 
 // markingTable maps markings to state indices with open addressing. In
