@@ -90,21 +90,9 @@ func (p *Prepared) analyze() (*Result, error) {
 		return nil, fmt.Errorf("core: non-positive MTTSF %v", res.MTTSF)
 	}
 
-	// Cost rewards per state, then time-average over the mission.
-	rewards := model.costRewards(graph)
-	var acc cost.Breakdown
-	for i, y := range sojourn {
-		if y == 0 {
-			continue
-		}
-		b := rewards[i]
-		acc.GC += y * b.GC
-		acc.Status += y * b.Status
-		acc.Rekey += y * b.Rekey
-		acc.IDS += y * b.IDS
-		acc.Beacon += y * b.Beacon
-		acc.MP += y * b.MP
-	}
+	// Cost rewards, time-averaged over the mission: each state's reward
+	// is evaluated and weighted by its sojourn in place, in state order.
+	acc := model.accumulateCost(graph, sojourn)
 	res.CostBreakdown = cost.Breakdown{
 		GC:     acc.GC / res.MTTSF,
 		Status: acc.Status / res.MTTSF,
@@ -121,9 +109,11 @@ func (p *Prepared) analyze() (*Result, error) {
 	}
 
 	// Failure-mode split over absorbing states, derived from the same
-	// solution (no second solve).
-	probs := sol.AbsorptionProbabilities()
-	for state, p := range probs {
+	// solution (no second solve) and summed in state order.
+	for state, p := range sol.AbsorptionProbabilities() {
+		if p == 0 {
+			continue
+		}
 		switch model.Classify(graph.States[state]) {
 		case CauseC1:
 			res.ProbC1 += p
@@ -136,20 +126,25 @@ func (p *Prepared) analyze() (*Result, error) {
 	return res, nil
 }
 
-// costRewards evaluates the per-state cost breakdown for every state of the
-// reachability graph.
-func (m *Model) costRewards(graph *spn.Graph) []cost.Breakdown {
+// accumulateCost returns Σ_i sojourn[i]·r(i), the cost accumulated until
+// absorption, where r(i) is state i's cost breakdown. States with zero
+// sojourn are skipped before any reward work; absorbed states accrue no
+// cost.
+func (m *Model) accumulateCost(graph *spn.Graph, sojourn []float64) cost.Breakdown {
 	cfg := m.Config
 	params := cfg.costParams()
 	detection := cfg.detection()
 	vote := voting.Params{M: cfg.M, P1: cfg.P1, P2: cfg.P2}
-	out := make([]cost.Breakdown, graph.NumStates())
-	for i, mk := range graph.States {
-		if m.Classify(mk) != CauseNone {
-			continue // absorbed states accrue no cost
+	var acc cost.Breakdown
+	for i, y := range sojourn {
+		if y == 0 {
+			continue
 		}
-		active := m.activeMembers(mk)
-		if active == 0 {
+		mk := graph.States[i]
+		if m.Classify(mk) != CauseNone {
+			continue
+		}
+		if m.activeMembers(mk) == 0 {
 			continue
 		}
 		groups := mk[m.ng]
@@ -163,7 +158,7 @@ func (m *Model) costRewards(graph *spn.Graph) []cost.Breakdown {
 		// same flow in steady state).
 		pfn, pfp := m.votingProbs(vote, mk)
 		evictRate := float64(mk[m.ucm])*dRate*(1-pfn) + float64(mk[m.tm])*dRate*pfp
-		st := cost.State{
+		b := params.Evaluate(cost.State{
 			GroupSize:         size,
 			Groups:            groups,
 			DetectionRate:     dRate,
@@ -171,10 +166,15 @@ func (m *Model) costRewards(graph *spn.Graph) []cost.Breakdown {
 			PartitionRate:     cfg.PartitionRate,
 			MergeRate:         cfg.MergeRate,
 			ClusterHead:       cfg.Protocol == ProtocolClusterHead,
-		}
-		out[i] = params.Evaluate(st)
+		})
+		acc.GC += y * b.GC
+		acc.Status += y * b.Status
+		acc.Rekey += y * b.Rekey
+		acc.IDS += y * b.IDS
+		acc.Beacon += y * b.Beacon
+		acc.MP += y * b.MP
 	}
-	return out
+	return acc
 }
 
 // MTTSFOnly computes just the MTTSF (skipping cost rewards), for tight

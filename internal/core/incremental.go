@@ -34,13 +34,22 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 // frozen ILU(0) preconditioner when the pattern is too cyclic for it —
 // skipping exploration, CSR assembly, transpose, and symbolic
 // factorization entirely. Not safe for concurrent use, and each
-// Prepared it returns aliases the working arrays: consume it (Analyze,
-// ForwardSensitivities) before the next Prepared call patches under it.
+// Prepared it returns aliases the working arrays and the session's voting
+// memo: consume it (Analyze, ForwardSensitivities) before the next
+// Prepared call patches under it.
 type PreparedDelta struct {
 	anchor Config
 	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
 	pc     *ctmc.PatchedChain
 	prevY  linalg.Vector // previous point's sojourn vector (warm start)
+
+	// votes is the voting-probability memo every model this session
+	// builds shares while votesKey is unchanged; a T_IDS sweep never
+	// changes it, so Eq. 1 is evaluated once per group composition per
+	// session instead of once per point. The donor's own memo is never
+	// borrowed: the donor may be cached and analyzed concurrently.
+	votes    voteMemo
+	votesKey voteMemoKey
 }
 
 // NewPreparedDelta anchors an incremental session on a fully prepared
@@ -74,7 +83,10 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 		return nil, fmt.Errorf("%w (anchor %s, point %s)", ErrStructuralDelta,
 			StructuralKey(pd.anchor), StructuralKey(cfg))
 	}
-	model, err := BuildModel(cfg)
+	if key := voteMemoKeyOf(cfg); pd.votes == nil || key != pd.votesKey {
+		pd.votes, pd.votesKey = make(voteMemo), key
+	}
+	model, err := buildModel(cfg, pd.votes)
 	if err != nil {
 		return nil, err
 	}

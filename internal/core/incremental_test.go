@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -337,6 +340,156 @@ func TestIncrementalSweepMatchesCold(t *testing.T) {
 	}
 	if ev.evals != 3 {
 		t.Fatalf("canceled SweepTIDS evaluated %d points, want 3", ev.evals)
+	}
+}
+
+// TestSessionVoteMemoReuse pins the session-scoped voting memo: a
+// SweepSession walk that mixes T_IDS steps with rate-only changes of M,
+// P1, P2 and the detection and attacker shapes matches a cold Analyze at
+// every point to 1e-10, and the session replaces its memo exactly when
+// (Protocol, M, P1, P2) changes — a stale memo would silently reuse the
+// previous voting probabilities. Both protocols are walked, and so is
+// GradientOptimalTIDS, the other PreparedDelta walker.
+func TestSessionVoteMemoReuse(t *testing.T) {
+	agree := func(caller string, cfg Config, got *Result) {
+		t.Helper()
+		want, err := Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := (got.MTTSF - want.MTTSF) / want.MTTSF; math.Abs(d) > 1e-10 {
+			t.Errorf("%s: incremental MTTSF %g vs cold %g", caller, got.MTTSF, want.MTTSF)
+		}
+		if d := (got.Ctotal - want.Ctotal) / want.Ctotal; math.Abs(d) > 1e-10 {
+			t.Errorf("%s: incremental Ctotal %g vs cold %g", caller, got.Ctotal, want.Ctotal)
+		}
+	}
+	for _, protocol := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		base := DefaultConfig()
+		base.N = 10
+		base.Protocol = protocol
+		base.M = 3
+		base.TIDS = 60
+		var walk []Config
+		step := func(edit func(*Config)) {
+			c := base
+			if len(walk) > 0 {
+				c = walk[len(walk)-1]
+			}
+			edit(&c)
+			walk = append(walk, c)
+		}
+		step(func(c *Config) {})               // anchor: cold prepare
+		step(func(c *Config) { c.TIDS = 120 }) // first patched point
+		step(func(c *Config) { c.TIDS = 600 })
+		step(func(c *Config) { c.M = 7 })
+		step(func(c *Config) { c.TIDS = 30 })
+		step(func(c *Config) { c.M = 3 })
+		step(func(c *Config) { c.P1 = 0.03 })
+		step(func(c *Config) { c.TIDS = 1200 })
+		step(func(c *Config) { c.P2 = 0.002 })
+		step(func(c *Config) { c.Detection = shapes.Logarithmic })
+		step(func(c *Config) { c.Attacker = shapes.Polynomial })
+		step(func(c *Config) { c.ShapeP = 2; c.TIDS = 15 })
+
+		before := StructuralRepreps()
+		sess := NewSweepSession(Direct{})
+		var pd *PreparedDelta
+		var memo uintptr
+		for i, cfg := range walk {
+			caller := fmt.Sprintf("%s point %d", protocol, i)
+			res, err := sess.Eval(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", caller, err)
+			}
+			agree(caller, cfg, res)
+			if i == 0 {
+				pd = sess.pd
+				continue
+			}
+			if sess.pd != pd {
+				t.Fatalf("%s: session re-anchored on a rate-only walk", caller)
+			}
+			if pd.votesKey != voteMemoKeyOf(cfg) {
+				t.Errorf("%s: memo keyed %+v, point needs %+v", caller, pd.votesKey, voteMemoKeyOf(cfg))
+			}
+			got := reflect.ValueOf(pd.votes).Pointer()
+			// The anchoring point's model owns a private memo, so the
+			// first patched point always starts the session's memo.
+			wantFresh := i == 1 || voteMemoKeyOf(cfg) != voteMemoKeyOf(walk[i-1])
+			if fresh := got != memo; fresh != wantFresh {
+				t.Errorf("%s: memo replaced = %v, want %v", caller, fresh, wantFresh)
+			}
+			memo = got
+		}
+		if n := StructuralRepreps() - before; n != 0 {
+			t.Errorf("%s: %d structural re-prepares on a rate-only walk", protocol, n)
+		}
+
+		grad := base
+		grad.M, grad.P1 = 7, 0.03
+		opt, err := GradientOptimalTIDS(grad, 5, 1200, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grad.TIDS = opt.TIDS
+		agree(protocol.String()+" GradientOptimalTIDS", grad, opt.Result)
+	}
+}
+
+// TestAnalyzeDeterministicAbsorptionSplit pins that two evaluations of
+// one configuration return bitwise-identical failure splits: the
+// absorption probabilities are accumulated and normalized in state order,
+// never in map-iteration order.
+func TestAnalyzeDeterministicAbsorptionSplit(t *testing.T) {
+	for _, protocol := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		for _, explicit := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.N = 12
+			cfg.Protocol = protocol
+			cfg.ExplicitEviction = explicit
+			a, err := Analyze(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Analyze(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name string
+				a, b float64
+			}{
+				{"ProbC1", a.ProbC1, b.ProbC1},
+				{"ProbC2", a.ProbC2, b.ProbC2},
+				{"ProbDepleted", a.ProbDepleted, b.ProbDepleted},
+			} {
+				if math.Float64bits(f.a) != math.Float64bits(f.b) {
+					t.Errorf("%s explicit=%v: %s %v then %v", protocol, explicit, f.name, f.a, f.b)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSweepSessionPoint measures one patched point of a T_IDS sweep —
+// re-rate, generator patch, re-solve and Analyze — on an anchored
+// SweepSession, allocations included.
+func BenchmarkSweepSessionPoint(b *testing.B) {
+	base := DefaultConfig()
+	base.N = 30
+	sess := NewSweepSession(Direct{})
+	if _, err := sess.Eval(context.Background(), base); err != nil {
+		b.Fatal(err)
+	}
+	grid := []float64{30, 60, 120, 240, 480, 960}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		cfg := base
+		cfg.TIDS = grid[i%len(grid)]
+		if _, err := sess.Eval(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

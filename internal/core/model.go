@@ -33,12 +33,34 @@ type Model struct {
 	// on the live member count, while exploration evaluates them for every
 	// enabled transition of every state — most of which collapse onto few
 	// distinct keys. Both are pure functions of their key, so memoizing
-	// them is exact. The maps are unsynchronized: they are written during
-	// the single-threaded reachability exploration and by costRewards
-	// under Prepared's resultOnce guard; any new post-exploration caller
-	// of votingProbs/detectionRate must serialize the same way.
-	voteMemo   map[uint64][2]float64
+	// them is exact. The maps are unsynchronized. A model built by
+	// BuildModel owns both: they are written during the single-threaded
+	// reachability exploration and by analyze under Prepared's resultOnce
+	// guard, and any new post-exploration caller of votingProbs or
+	// detectionRate must serialize the same way. A PreparedDelta session
+	// instead hands every model it builds one session-owned voteMemo,
+	// shared while (Protocol, M, P1, P2) — everything the voting
+	// probabilities depend on besides the composition — is unchanged; that
+	// memo is touched only by the session's sequential chain of re-rates
+	// and analyses, never by two goroutines at once.
+	voteMemo   voteMemo
 	detectMemo map[int]float64
+}
+
+// voteMemo memoizes the (pfn, pfp) pair of votingProbs by group
+// composition, packed as nGood<<32 | nBad.
+type voteMemo map[uint64][2]float64
+
+// voteMemoKey is what a voteMemo's entries depend on besides the group
+// composition: two configurations with equal keys may share one memo.
+type voteMemoKey struct {
+	protocol Protocol
+	m        int
+	p1, p2   float64
+}
+
+func voteMemoKeyOf(cfg Config) voteMemoKey {
+	return voteMemoKey{protocol: cfg.Protocol, m: cfg.M, p1: cfg.P1, p2: cfg.P2}
 }
 
 // BuildModel constructs the Figure 1 SPN under the given configuration.
@@ -49,13 +71,19 @@ type Model struct {
 // nodes first move to DCm and leave through T_RK at rate mark(DCm)/Tcm,
 // matching the figure literally.
 func BuildModel(cfg Config) (*Model, error) {
+	return buildModel(cfg, make(voteMemo))
+}
+
+// buildModel is BuildModel with the model's voting memo supplied by the
+// caller; votes must hold only entries computed under cfg's voteMemoKey.
+func buildModel(cfg Config, votes voteMemo) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{
 		Config:     cfg,
 		Net:        spn.New(),
-		voteMemo:   make(map[uint64][2]float64),
+		voteMemo:   votes,
 		detectMemo: make(map[int]float64),
 	}
 	m.tm = m.Net.AddPlace(placeTm)

@@ -73,9 +73,9 @@ func (p *Prepared) SizeBytes() int64 {
 	places := int64(len(p.Graph.PlaceIdx))
 	edges := int64(p.Graph.NumEdges())
 	nnz := int64(p.Chain.Generator().NNZ())
-	size := n*places*wordBytes // marking arena
-	size += edges * edgeBytes  // edge arena
-	size += n * 3 * wordBytes  // States/Edges headers-ish + marking table
+	size := n * places * wordBytes // marking arena
+	size += edges * edgeBytes      // edge arena
+	size += n * 3 * wordBytes      // States/Edges headers-ish + marking table
 	// Generator plus the cached Q_TT and its transpose (bounded by the
 	// full generator each) and the sojourn vector.
 	size += 3 * (nnz*csrBytes + (n+1)*wordBytes)

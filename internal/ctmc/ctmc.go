@@ -363,11 +363,11 @@ func (c *Chain) AccumulatedReward(init int, reward linalg.Vector) (float64, erro
 	return s.AccumulatedReward(reward)
 }
 
-// AbsorptionProbabilities returns, for each absorbing state a, the
-// probability that the chain started in init is absorbed in a. One linear
-// solve; prefer Solve + Solution.AbsorptionProbabilities when combining
-// metrics.
-func (c *Chain) AbsorptionProbabilities(init int) (map[int]float64, error) {
+// AbsorptionProbabilities returns, densely over all states, the
+// probability that the chain started in init is absorbed in each state
+// (zero on transient states). One linear solve; prefer Solve +
+// Solution.AbsorptionProbabilities when combining metrics.
+func (c *Chain) AbsorptionProbabilities(init int) ([]float64, error) {
 	s, err := c.Solve(init)
 	if err != nil {
 		return nil, err

@@ -100,6 +100,9 @@ func TestAbsorptionProbabilitiesCompetingRisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(probs) != 3 || probs[0] != 0 {
+		t.Fatalf("probs = %v, want dense over 3 states with P(absorb 0) = 0", probs)
+	}
 	if !approx(probs[1], alpha/(alpha+beta), 1e-10) {
 		t.Errorf("P(absorb 1) = %v, want %v", probs[1], alpha/(alpha+beta))
 	}
@@ -134,8 +137,14 @@ func TestAbsorptionProbabilitiesSumToOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(probs) != n {
+			t.Fatalf("trial %d: %d absorption probabilities, want dense over %d states", trial, len(probs), n)
+		}
 		s := 0.0
-		for _, p := range probs {
+		for i, p := range probs {
+			if p != 0 && !c.IsAbsorbing(i) {
+				t.Fatalf("trial %d: transient state %d has absorption probability %v", trial, i, p)
+			}
 			s += p
 		}
 		if !approx(s, 1, 1e-9) {

@@ -77,13 +77,15 @@ func (s *Solution) AccumulatedReward(reward linalg.Vector) (float64, error) {
 	return s.y.Dot(reward), nil
 }
 
-// AbsorptionProbabilities returns, for each absorbing state a, the
-// probability of being absorbed in a, derived from the sojourn vector via
+// AbsorptionProbabilities returns, densely over all states, the
+// probability of being absorbed in each absorbing state a (zero on
+// transient states), derived from the sojourn vector via
 // P(absorb in a) = Σ_j y[j]·q[j][a] over transient j — no additional
-// solve.
-func (s *Solution) AbsorptionProbabilities() map[int]float64 {
-	probs := make(map[int]float64)
+// solve. Accumulation and normalization both run in state order, so two
+// calls on equal solutions return bitwise-equal vectors.
+func (s *Solution) AbsorptionProbabilities() []float64 {
 	c := s.chain
+	probs := make([]float64, c.n)
 	if c.absorbing[s.init] {
 		probs[s.init] = 1
 		return probs

@@ -11,11 +11,11 @@ import (
 type Stage int
 
 const (
-	StageExplore Stage = iota // state-space exploration (Model.Explore)
-	StageAssemble             // generator-matrix assembly (ctmc.FromGraph)
-	StageSolve                // one transient linear solve (ctmc solveVia)
-	StageSweep                // chained TIDS parameter sweep
-	StageFrontier             // adaptive Pareto-frontier refinement
+	StageExplore  Stage = iota // state-space exploration (Model.Explore)
+	StageAssemble              // generator-matrix assembly (ctmc.FromGraph)
+	StageSolve                 // one transient linear solve (ctmc solveVia)
+	StageSweep                 // chained TIDS parameter sweep
+	StageFrontier              // adaptive Pareto-frontier refinement
 	numStages
 )
 
