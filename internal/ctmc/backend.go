@@ -204,7 +204,7 @@ func backendIterCounter(name string) *atomic.Uint64 {
 }
 
 // SolveIterationsByBackend returns a snapshot of the cumulative iteration
-// count each backend has spent (the bench harness diffs it per workload).
+// count each backend has spent (exported per backend on /metrics).
 func SolveIterationsByBackend() map[string]uint64 {
 	iterMu.Lock()
 	defer iterMu.Unlock()
@@ -220,10 +220,10 @@ func SolveIterationsByBackend() map[string]uint64 {
 // operator families this repository produces, the Krylov solve wins from a
 // few hundred states up — 5..7x on the paper's SPN systems at 10^2..10^4
 // states, >10x on 5*10^4-state lattice operators where stationary
-// iteration counts grow with N (see the solve_backend_* and solve_largeN_*
-// workloads in cmd/bench) — so the threshold only keeps genuinely tiny
-// systems, where a solve is microseconds either way and the factorization
-// is pure overhead, on the cascade.
+// iteration counts grow with N (BenchmarkSolveLargeN times one such
+// lattice) — so the threshold only keeps genuinely tiny systems, where a
+// solve is microseconds either way and the factorization is pure overhead,
+// on the cascade.
 const autoKrylovStates = 256
 
 // resolveBackend unwraps "auto" into the concrete backend for one system.

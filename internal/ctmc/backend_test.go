@@ -110,7 +110,7 @@ func TestAutoResolvesBySize(t *testing.T) {
 }
 
 // TestBackendIterationCounters pins that Krylov solves account their
-// iterations to the per-backend counters the bench harness reports.
+// iterations to the per-backend counters /metrics reports.
 func TestBackendIterationCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randAbsorbingChain(rng, 60)

@@ -7,7 +7,7 @@ import (
 // Process-wide solver telemetry, registered once into the obs Default
 // registry. The existing atomic counters (solveCount, solveIters, the
 // fallback and incremental-path tallies) stay where they are — /v1/stats
-// and the bench harness read them directly — and are exposed through
+// and perfbench read them directly — and are exposed through
 // scrape-time CounterFuncs, so the registry adds no cost to the counting
 // paths.
 //

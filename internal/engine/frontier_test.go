@@ -41,53 +41,74 @@ func sameFrontier(a, b []core.DesignPoint) bool {
 	return true
 }
 
+// TestAdaptiveFrontierExact requires the adaptive loop to reproduce the
+// full-grid frontier exactly while paying for fewer evaluations than the
+// grid has points. On the dense 16-column T_IDS grid it must also spend
+// at most 40% of the grid's evaluations (70 of 192 when this bound was set).
 func TestAdaptiveFrontierExact(t *testing.T) {
-	cfg := testConfig()
-	space := core.DefaultDesignSpace()
-	e := New(Options{})
+	dense := core.DefaultDesignSpace()
+	dense.TIDSGrid = []float64{5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 240, 360, 480, 600, 900, 1200}
+	for _, tc := range []struct {
+		name  string
+		space core.DesignSpace
+		// economy bounds the evaluations at 40% of the grid.
+		economy bool
+	}{
+		{"paper_grid", core.DefaultDesignSpace(), false},
+		{"dense_tids", dense, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			space := tc.space
+			e := New(Options{})
 
-	var revs []FrontierRevision
-	frontier, evals, err := e.AdaptiveFrontier(context.Background(), cfg, FrontierOptions{Space: space}, func(rev FrontierRevision) error {
-		revs = append(revs, rev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := space.Size()
-	if evals >= total {
-		t.Errorf("adaptive loop paid %d evals on a %d-point grid: no saving", evals, total)
-	}
-	t.Logf("adaptive: %d/%d evals (%.0f%%), frontier size %d",
-		evals, total, 100*float64(evals)/float64(total), len(frontier))
+			var revs []FrontierRevision
+			frontier, evals, err := e.AdaptiveFrontier(context.Background(), cfg, FrontierOptions{Space: space}, func(rev FrontierRevision) error {
+				revs = append(revs, rev)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := space.Size()
+			if evals >= total {
+				t.Errorf("adaptive loop paid %d evals on a %d-point grid: no saving", evals, total)
+			}
+			if tc.economy && evals*5 > total*2 {
+				t.Errorf("adaptive loop paid %d evals on a %d-point grid: over the 40%% economy bound", evals, total)
+			}
+			t.Logf("adaptive: %d/%d evals (%.0f%%), frontier size %d",
+				evals, total, 100*float64(evals)/float64(total), len(frontier))
 
-	want := fullGridFrontier(t, e, cfg, space)
-	if !sameFrontier(frontier, want) {
-		t.Fatalf("adaptive frontier diverges from full grid:\n got %v\nwant %v", frontier, want)
-	}
+			want := fullGridFrontier(t, e, cfg, space)
+			if !sameFrontier(frontier, want) {
+				t.Fatalf("adaptive frontier diverges from full grid:\n got %v\nwant %v", frontier, want)
+			}
 
-	// Revision stream invariants: generations strictly increase, the
-	// hypervolume never shrinks, and the terminal revision carries the
-	// returned frontier.
-	if len(revs) < 2 {
-		t.Fatalf("only %d revisions emitted", len(revs))
-	}
-	last := revs[len(revs)-1]
-	if !last.Done || !sameFrontier(last.Frontier, frontier) || last.Evals != evals {
-		t.Errorf("terminal revision %+v does not match returned state", last)
-	}
-	prevGen, prevHV := 0, 0.0
-	for _, rev := range revs[:len(revs)-1] {
-		if rev.Done || rev.Point == nil {
-			t.Fatalf("non-terminal revision without point: %+v", rev)
-		}
-		if rev.Generation <= prevGen {
-			t.Errorf("generation went %d -> %d", prevGen, rev.Generation)
-		}
-		if rev.Hypervolume < prevHV-1e-9 {
-			t.Errorf("hypervolume shrank %v -> %v", prevHV, rev.Hypervolume)
-		}
-		prevGen, prevHV = rev.Generation, rev.Hypervolume
+			// Revision stream invariants: generations strictly increase, the
+			// hypervolume never shrinks, and the terminal revision carries the
+			// returned frontier.
+			if len(revs) < 2 {
+				t.Fatalf("only %d revisions emitted", len(revs))
+			}
+			last := revs[len(revs)-1]
+			if !last.Done || !sameFrontier(last.Frontier, frontier) || last.Evals != evals {
+				t.Errorf("terminal revision %+v does not match returned state", last)
+			}
+			prevGen, prevHV := 0, 0.0
+			for _, rev := range revs[:len(revs)-1] {
+				if rev.Done || rev.Point == nil {
+					t.Fatalf("non-terminal revision without point: %+v", rev)
+				}
+				if rev.Generation <= prevGen {
+					t.Errorf("generation went %d -> %d", prevGen, rev.Generation)
+				}
+				if rev.Hypervolume < prevHV-1e-9 {
+					t.Errorf("hypervolume shrank %v -> %v", prevHV, rev.Hypervolume)
+				}
+				prevGen, prevHV = rev.Generation, rev.Hypervolume
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func randDominantCSR(rng *rand.Rand, n int) (*CSR, Vector, Vector) {
 
 // lattice2D builds the transient operator of an n x n lattice random walk
 // with uniform absorption rate delta — the synthetic large-N system the
-// solve_largeN benchmark uses, shrunk for tests. Returns A = Q_TT (negated
+// ctmc's BenchmarkSolveLargeN uses, shrunk for tests. Returns A = Q_TT (negated
 // generator convention does not matter for solver testing).
 func lattice2D(n int, delta float64) *CSR {
 	idx := func(r, c int) int { return r*n + c }
